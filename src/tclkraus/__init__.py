@@ -26,9 +26,6 @@ from .channel import (
 from .dephasing import (
     BornValidityError,
     DephasingModel,
-    dephasing_apply,
-    dephasing_channel_state,
-    dephasing_kraus,
     kraus_pair,
     pair_weight,
 )
@@ -41,11 +38,8 @@ from .linalg import (
     check_density_matrix,
     commutator,
     hermitize,
-    hs_inner,
-    interaction_picture,
     matrix_from_json,
     matrix_to_json,
-    matrix_units,
     partial_trace_bath,
     trace_distance,
 )

@@ -185,6 +185,15 @@ class MarkovianBath:
         )
 
 
+def baths_per_generator(bath, n_gen):
+    """One correlation model per generator: a shared model is repeated."""
+    if not isinstance(bath, (list, tuple)):
+        return [bath] * n_gen
+    if len(bath) != n_gen:
+        raise ValidationError(f"{len(bath)} correlation models for {n_gen} generators")
+    return list(bath)
+
+
 def double_time_integral(bath, t):
     """Iterated correlation integral f(t) = int_0^t ds int_0^s dtau conj(chi(tau - s)).
 

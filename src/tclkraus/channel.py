@@ -34,15 +34,21 @@ settle which of the two is its operator-sum form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .baths import MarkovianBath
-from .linalg import SystemHamiltonian, ValidationError, hermitize
+from .baths import MarkovianBath, baths_per_generator
+from .linalg import ValidationError, as_hamiltonian, hermitize
 from .quadrature import integrate_array
 
 #: base absolute tolerance for the complete-positivity clip window
 CP_BASE_TOL = 1e-8
+
+#: quadrature tolerances of the outer s-integrals of B and A; the inner
+#: moment runs ten times tighter so its error does not dominate
+_RTOL = 1e-11
+_ATOL = 1e-12
 
 
 class CPViolationError(RuntimeError):
@@ -130,121 +136,81 @@ class KrausSet:
         }
 
 
-def _normalize_baths(generators, bath):
-    if isinstance(bath, (list, tuple)):
-        if len(bath) != len(generators):
-            raise ValidationError(
-                f"{len(bath)} correlation models for {len(generators)} generators"
-            )
-        return list(bath)
-    return [bath] * len(generators)
-
-
 def _check_time(t):
     if t < 0:
         raise ValidationError(f"t must be >= 0, got {t}")
     return float(t)
 
 
-def _inner_moment(h_s, v_eig, chi, s, rtol, atol):
-    """I(s) = int_0^s conj(chi(tau - s)) v(tau) dtau, eigenbasis."""
+def _inner_moments(h_s, v_eigs, bath):
+    """Per generator, s -> I_a(s) = int_0^s conj(chi_a(tau - s)) v_a(tau) dtau.
 
+    Eigenbasis in and out.  The white-noise delta, chi_ab(u) = (gamma_ab / 2)
+    delta(u), sits on the triangle edge tau = s and counts with half weight
+    there: I_a(s) = (1/4) sum_b conj(gamma_ab) v_b(s).
+    """
+    if isinstance(bath, MarkovianBath):
+        g = bath.rate_matrix(len(v_eigs))
+        return [
+            partial(_edge_moment, h_s,
+                    0.25 * sum(np.conj(g[a, b]) * vb for b, vb in enumerate(v_eigs)))
+            for a in range(len(v_eigs))
+        ]
+    return [partial(_quadrature_moment, h_s, v_eig, b.correlation)
+            for v_eig, b in zip(v_eigs, baths_per_generator(bath, len(v_eigs)))]
+
+
+def _edge_moment(h_s, w_eig, s):
+    return w_eig * h_s.phase_matrix(s)
+
+
+def _quadrature_moment(h_s, v_eig, chi, s):
     def integrand(tau):
         return np.conj(chi(tau - s)) * (v_eig * h_s.phase_matrix(tau))
 
-    return integrate_array(integrand, 0.0, s, rtol=rtol, atol=atol)
+    return integrate_array(integrand, 0.0, s,
+                           rtol=_RTOL * 0.1, atol=_ATOL * 0.1)
 
 
-def damping_term(t, h_s, generators, bath, *, rtol=1e-11, atol=1e-12):
-    """B(t) in the H_s eigenbasis; B(0) = 0."""
+def damping_term(t, h_s, generators, bath):
+    """B(t) = sum_a int_0^t v_a(s) I_a(s) ds in the H_s eigenbasis; B(0) = 0."""
     t = _check_time(t)
-    if not isinstance(h_s, SystemHamiltonian):
-        h_s = SystemHamiltonian(h_s)
-    d = h_s.dim
-    if t == 0.0:
-        return DampingTerm(0.0, np.zeros((d, d), complex))
-
-    if isinstance(bath, MarkovianBath):
-        # inner delta on the triangle boundary: half weight -> gamma/4
-        g = bath.rate_matrix(len(generators))
-        v_eigs = [h_s.to_eigenbasis(v) for v in generators]
+    h_s = as_hamiltonian(h_s)
+    total = np.zeros((h_s.dim, h_s.dim), complex)
+    v_eigs = [h_s.to_eigenbasis(v) for v in generators]
+    for v_eig, inner in zip(v_eigs, _inner_moments(h_s, v_eigs, bath)):
 
         def integrand(s):
-            p = h_s.phase_matrix(s)
-            vs = [ve * p for ve in v_eigs]
-            out = np.zeros((d, d), complex)
-            for a in range(len(vs)):
-                for b in range(len(vs)):
-                    if g[a, b] == 0:
-                        continue
-                    out += 0.25 * np.conj(g[a, b]) * (vs[a] @ vs[b])
-            return out
+            return (v_eig * h_s.phase_matrix(s)) @ inner(s)
 
-        return DampingTerm(t, integrate_array(integrand, 0.0, t,
-                                              rtol=rtol, atol=atol))
-
-    baths = _normalize_baths(generators, bath)
-    total = np.zeros((d, d), complex)
-    for v, bm in zip(generators, baths):
-        v_eig = h_s.to_eigenbasis(v)
-        chi = bm.correlation
-
-        def integrand(s):
-            inner = _inner_moment(h_s, v_eig, chi, s, rtol * 0.1, atol * 0.1)
-            return (v_eig * h_s.phase_matrix(s)) @ inner
-
-        total += integrate_array(integrand, 0.0, t, rtol=rtol, atol=atol)
+        total += integrate_array(integrand, 0.0, t, rtol=_RTOL, atol=_ATOL)
     return DampingTerm(t, total)
 
 
-def jump_term(t, h_s, generators, bath, *, rtol=1e-11, atol=1e-12):
-    """A(t) = T + T^dag in the H_s eigenbasis; A(0) = 0."""
+def jump_term(t, h_s, generators, bath):
+    """A(t) = T + T^dag in the H_s eigenbasis; A(0) = 0.
+
+    T = sum_a int_0^t vec v_a(s) vec I_a(s)^dag ds.
+    """
     t = _check_time(t)
-    if not isinstance(h_s, SystemHamiltonian):
-        h_s = SystemHamiltonian(h_s)
+    h_s = as_hamiltonian(h_s)
     d = h_s.dim
-    if t == 0.0:
-        return JumpTerm(0.0, np.zeros((d * d, d * d), complex))
-
-    if isinstance(bath, MarkovianBath):
-        # the delta line tau = s is interior to the full square: full weight
-        g = bath.rate_matrix(len(generators))
-        v_eigs = [h_s.to_eigenbasis(v) for v in generators]
-
-        def integrand(s):
-            p = h_s.phase_matrix(s)
-            vecs = [(ve * p).reshape(-1) for ve in v_eigs]
-            out = np.zeros((d * d, d * d), complex)
-            for a in range(len(vecs)):
-                for b in range(len(vecs)):
-                    if g[a, b] == 0:
-                        continue
-                    out += 0.5 * g[a, b] * np.outer(vecs[a], vecs[b].conj())
-            return out
-
-        return JumpTerm(t, integrate_array(integrand, 0.0, t,
-                                           rtol=rtol, atol=atol))
-
-    baths = _normalize_baths(generators, bath)
     tri = np.zeros((d * d, d * d), complex)
-    for v, bm in zip(generators, baths):
-        v_eig = h_s.to_eigenbasis(v)
-        chi = bm.correlation
+    v_eigs = [h_s.to_eigenbasis(v) for v in generators]
+    for v_eig, inner in zip(v_eigs, _inner_moments(h_s, v_eigs, bath)):
 
         def integrand(s):
             # conj(inner) carries chi(tau-s) * conj(<b|v(tau)|m>) exactly
-            inner = _inner_moment(h_s, v_eig, chi, s, rtol * 0.1, atol * 0.1)
             vec_v = (v_eig * h_s.phase_matrix(s)).reshape(-1)
-            return np.outer(vec_v, inner.reshape(-1).conj())
+            return np.outer(vec_v, inner(s).reshape(-1).conj())
 
-        tri += integrate_array(integrand, 0.0, t, rtol=rtol, atol=atol)
+        tri += integrate_array(integrand, 0.0, t, rtol=_RTOL, atol=_ATOL)
     return JumpTerm(t, tri + tri.conj().T)
 
 
 def assemble_channel(b_term, a_term, h_s):
     """E = 1 - B - B* + A over composite indices, interaction picture."""
-    if not isinstance(h_s, SystemHamiltonian):
-        h_s = SystemHamiltonian(h_s)
+    h_s = as_hamiltonian(h_s)
     d = h_s.dim
     if b_term.t != a_term.t:
         raise ValidationError(
@@ -266,12 +232,11 @@ def assemble_channel(b_term, a_term, h_s):
                          picture="interaction", herm_dev=dev, cp_budget=budget)
 
 
-def channel_at(t, h_s, generators, bath, **kw):
+def channel_at(t, h_s, generators, bath):
     """Convenience: assemble the channel matrix at time t from scratch."""
-    if not isinstance(h_s, SystemHamiltonian):
-        h_s = SystemHamiltonian(h_s)
-    b = damping_term(t, h_s, generators, bath, **kw)
-    a = jump_term(t, h_s, generators, bath, **kw)
+    h_s = as_hamiltonian(h_s)
+    b = damping_term(t, h_s, generators, bath)
+    a = jump_term(t, h_s, generators, bath)
     return assemble_channel(b, a, h_s)
 
 
@@ -283,16 +248,16 @@ def _fix_phase(k):
     return k * (abs(z) / z)
 
 
-def canonical_kraus(channel, *, eps_cp=None, normalize=False):
+def canonical_kraus(channel, *, normalize=False):
     """Extract the canonical Kraus set from a channel matrix.
 
     Eigen-decomposes the Hermitized matrix, keeps positive eigenvalues in
     descending order, clips negatives within the CP budget (logged), and
-    errors on anything below -eps_cp.  Operators come out in the
+    errors on anything below -channel.cp_budget.  Operators come out in the
     computational basis with the global phase of each fixed so its
     largest-magnitude entry is real positive.
     """
-    eps = channel.cp_budget if eps_cp is None else eps_cp
+    eps = channel.cp_budget
     m_h, _ = hermitize(channel.matrix)
     evals, evecs = np.linalg.eigh(m_h)
     order = np.argsort(evals)[::-1]
@@ -333,8 +298,7 @@ def to_schrodinger(kset, h_s, t=None):
     """Left-multiply by the free propagator: K -> e^{-i H_s t} K."""
     if kset.picture != "interaction":
         raise ValidationError(f"expected an interaction-picture set, got {kset.picture}")
-    if not isinstance(h_s, SystemHamiltonian):
-        h_s = SystemHamiltonian(h_s)
+    h_s = as_hamiltonian(h_s)
     t = kset.t if t is None else t
     u = h_s.propagator(t)
     out = KrausSet(operators=[u @ k for k in kset.operators],

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .baths import double_time_integral
-from .channel import KrausSet, apply_channel
+from .channel import KrausSet
 from .linalg import (
     SIGMA_Z,
     SystemHamiltonian,
@@ -155,17 +155,3 @@ class DephasingModel:
         with open(path, "w", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
 
-
-def dephasing_kraus(model, t):
-    """Closed-form interaction-picture operator pair at time t."""
-    return model.kraus(t)
-
-
-def dephasing_apply(model, t, rho0):
-    """Closed-form channel action (interaction picture)."""
-    return model.apply(t, rho0)
-
-
-def dephasing_channel_state(model, t, rho0):
-    """Apply the closed-form pair via the generic operator-sum machinery."""
-    return apply_channel(model.kraus(t), rho0)

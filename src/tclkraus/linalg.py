@@ -14,7 +14,6 @@ import numpy as np
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
 
 #: validation thresholds used at API boundaries
 HERMITICITY_RTOL = 1e-12
@@ -102,28 +101,6 @@ def commutator(a, b):
     return a @ b - b @ a
 
 
-def hs_inner(a, b):
-    """Hilbert-Schmidt inner product ``tr(A^dag B)``."""
-    a = _as_square(a, "a")
-    b = _as_square(b, "b")
-    if a.shape != b.shape:
-        raise ValidationError(f"dimension mismatch {a.shape} vs {b.shape}")
-    return complex(np.sum(a.conj() * b))
-
-
-def matrix_units(d):
-    """Orthonormal matrix-unit basis of C^{d x d}.
-
-    Returns an array of shape (d*d, d, d) whose flat index i = a*d + b holds
-    the unit |a><b|.  Orthonormal under :func:`hs_inner`.
-    """
-    units = np.zeros((d * d, d, d), dtype=complex)
-    for a in range(d):
-        for b in range(d):
-            units[a * d + b, a, b] = 1.0
-    return units
-
-
 def partial_trace_bath(rho_total, dim_s, dim_b):
     """Trace out the bath factor of a system (x) bath density matrix.
 
@@ -194,11 +171,9 @@ class SystemHamiltonian:
         )
 
 
-def interaction_picture(v, h_s, t):
-    """Functional form of :meth:`SystemHamiltonian.interaction_picture`."""
-    if not isinstance(h_s, SystemHamiltonian):
-        h_s = SystemHamiltonian(h_s)
-    return h_s.interaction_picture(v, t)
+def as_hamiltonian(h_s):
+    """h_s itself if it is a :class:`SystemHamiltonian`, else one built from it."""
+    return h_s if isinstance(h_s, SystemHamiltonian) else SystemHamiltonian(h_s)
 
 
 def matrix_to_json(a):

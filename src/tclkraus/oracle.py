@@ -19,8 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import (
-    SystemHamiltonian,
     ValidationError,
+    as_hamiltonian,
     check_density_matrix,
     check_generator_set,
     check_hermitian,
@@ -175,7 +175,7 @@ class TotalSystem:
     """System plus truncated bath under the full interacting Hamiltonian."""
 
     def __init__(self, h_s, generators, bath):
-        self.h_s = h_s if isinstance(h_s, SystemHamiltonian) else SystemHamiltonian(h_s)
+        self.h_s = as_hamiltonian(h_s)
         self.generators = check_generator_set(generators)
         if len(self.generators) != bath.n_gen:
             raise ValidationError(

@@ -27,7 +27,7 @@ def integrate_scalar(f, a, b, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, limit=500
     # complex_func=True integrates parts separately; err comes back complex
     err = max(abs(np.real(err)), abs(np.imag(err)))
     bound = max(atol, rtol * abs(val)) * 10.0
-    if err > max(bound, 1e-9):
+    if err > bound:
         raise QuadratureError(
             f"scalar quadrature on [{a}, {b}] reached error {err:.3e} "
             f"(target {bound:.3e})"
@@ -48,18 +48,3 @@ def integrate_array(f, a, b, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
         )
     return np.asarray(val, dtype=complex)
 
-
-def triangle_integral(f2, t, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
-    """Nested integral over the triangle 0 <= tau <= s <= t of f2(s, tau).
-
-    f2 may return a complex array.  The inner integral is run one order of
-    magnitude tighter than the outer so its error does not dominate.
-    """
-    if t == 0.0:
-        return np.zeros_like(np.asarray(f2(0.0, 0.0), dtype=complex))
-
-    def outer(s):
-        return integrate_array(lambda tau: f2(s, tau), 0.0, s,
-                               rtol=rtol * 0.1, atol=atol * 0.1)
-
-    return integrate_array(outer, 0.0, t, rtol=rtol, atol=atol)

@@ -48,9 +48,7 @@ from .linalg import (
     trace_distance,
 )
 from .oracle import TotalSystem, TruncatedBath, evolve_exact
-from .tcl import LindbladGenerator, Tcl2Generator, Trajectory, integrate, reduce_to_lindblad
-
-RUN_ORDER = ["tcl2", "lindblad", "kraus", "dephasing", "oracle"]
+from .tcl import Tcl2Generator, Trajectory, integrate, reduce_to_lindblad
 
 GENERATOR_PRESETS = {"sigma_x": SIGMA_X, "sigma_y": SIGMA_Y, "sigma_z": SIGMA_Z}
 
@@ -299,54 +297,111 @@ def load_scenario(path):
                 f"{top}.tolerances.{key}: unknown gate (allowed: "
                 f"{', '.join(sorted(allowed_gates))})"
             )
+        if key == "tcl2_vs_lindblad_generator" and not isinstance(bath, MarkovianBath):
+            raise ScenarioError(f"{top}.tolerances.{key}: requires the markovian bath")
         scenario.tolerances[key] = _number(val, f"{top}.tolerances.{key}",
                                            minimum=0.0, strict_min=True)
 
-    _validate_run_requirements(scenario)
+    for run in runs:
+        RUNS[run][0](scenario)
     return scenario
 
 
-def _is_sigma_z(mat):
-    return mat.shape == (2, 2) and np.abs(mat - SIGMA_Z).max() < 1e-12
+# -- run prerequisites: each raises ScenarioError when a run cannot go ------
 
 
-def _validate_run_requirements(sc):
-    top = "scenario"
-    markovian = isinstance(sc.bath, MarkovianBath)
-    if "lindblad" in sc.runs and not markovian:
+def _no_prerequisite(sc):
+    pass
+
+
+def _check_lindblad(sc):
+    if not isinstance(sc.bath, MarkovianBath):
+        raise ScenarioError("scenario.runs: 'lindblad' requires the markovian bath model")
+
+
+def _check_dephasing(sc):
+    h = sc.system.matrix
+    diag_z = (
+        sc.system.dim == 2
+        and np.abs(h - np.diag(np.diag(h))).max() < 1e-12
+        and abs(h[0, 0] + h[1, 1]) < 1e-12
+    )
+    if not diag_z:
+        raise ScenarioError("scenario.system: 'dephasing' needs H_s = (eps0/2) sigma_z")
+    # system and generator dimensions already match, so v[0] is 2 x 2 here
+    v = sc.generators
+    if len(v) != 1 or not np.abs(v[0] - SIGMA_Z).max() < 1e-12:
         raise ScenarioError(
-            f"{top}.runs: 'lindblad' requires the markovian bath model"
+            "scenario.generators: 'dephasing' needs the single generator sigma_z"
         )
-    if "tcl2_vs_lindblad_generator" in sc.tolerances and not markovian:
+    if isinstance(sc.bath, MarkovianBath) and not sc.bath.is_scalar:
+        raise ScenarioError("scenario.bath: 'dephasing' needs a scalar rate")
+
+
+def _check_oracle(sc):
+    if not isinstance(sc.bath, DiscreteBath):
+        raise ScenarioError("scenario.runs: 'oracle' requires the discrete bath model")
+    if sc.oracle_n_max is None:
+        raise ScenarioError("scenario.oracle: required when 'oracle' is in runs")
+
+
+# -- runners: (scenario, output dir, report) -> Schrodinger-picture trajectory
+
+
+def _run_tcl2(sc, out_dir, report):
+    return integrate(Tcl2Generator(sc.system, sc.generators, sc.bath), sc.rho0, sc.times)
+
+
+def _run_lindblad(sc, out_dir, report):
+    gen = reduce_to_lindblad(Tcl2Generator(sc.system, sc.generators, sc.bath))
+    return integrate(gen, sc.rho0, sc.times)
+
+
+def _run_kraus(sc, out_dir, report):
+    """Canonical Kraus sets per grid time plus the induced trajectory."""
+    sets = []
+    states = np.empty((sc.times.size, sc.system.dim, sc.system.dim), dtype=complex)
+    max_b = 0.0
+    max_dev = 0.0
+    clipped = []
+    for i, t in enumerate(sc.times):
+        b = damping_term(t, sc.system, sc.generators, sc.bath)
+        a = jump_term(t, sc.system, sc.generators, sc.bath)
+        ch = assemble_channel(b, a, sc.system)
+        kset = to_schrodinger(canonical_kraus(ch), sc.system)
+        max_b = max(max_b, float(np.abs(b.matrix).max()))
+        max_dev = max(max_dev, kset.completeness_dev)
+        clipped.extend(kset.clipped)
+        states[i] = apply_channel(kset, sc.rho0)
+        sets.append(kset.to_json_dict())
+    with open(os.path.join(out_dir, "kraus.json"), "w", newline="\n") as fh:
+        json.dump(sets, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    report["kraus"] = {
+        "max_completeness_dev": float(max_dev),
+        "max_damping_norm": float(max_b),
+        "cp_clip_budget": float(1e-8 + 10.0 * max_b**2),
+        "clipped_eigenvalues": sorted(float(c) for c in clipped),
+    }
+    return Trajectory(sc.times, states)
+
+
+def _run_dephasing(sc, out_dir, report):
+    model = DephasingModel(2.0 * float(sc.system.matrix[0, 0].real), sc.bath)
+    crossing = model.first_invalid_time(sc.times[-1])
+    if crossing is not None:
         raise ScenarioError(
-            f"{top}.tolerances.tcl2_vs_lindblad_generator: requires the markovian bath"
+            f"dephasing validity lost at t ~ {crossing:g} < t_max "
+            f"{sc.times[-1]:g}; shrink the grid"
         )
-    if "dephasing" in sc.runs:
-        h = sc.system.matrix
-        diag_z = (
-            sc.system.dim == 2
-            and np.abs(h - np.diag(np.diag(h))).max() < 1e-12
-            and abs(h[0, 0] + h[1, 1]) < 1e-12
-        )
-        if not diag_z:
-            raise ScenarioError(
-                f"{top}.system: 'dephasing' needs H_s = (eps0/2) sigma_z"
-            )
-        if len(sc.generators) != 1 or not _is_sigma_z(sc.generators[0]):
-            raise ScenarioError(
-                f"{top}.generators: 'dephasing' needs the single generator sigma_z"
-            )
-        if markovian and not sc.bath.is_scalar:
-            raise ScenarioError(
-                f"{top}.bath: 'dephasing' needs a scalar rate"
-            )
-    if "oracle" in sc.runs:
-        if not isinstance(sc.bath, DiscreteBath):
-            raise ScenarioError(
-                f"{top}.runs: 'oracle' requires the discrete bath model"
-            )
-        if sc.oracle_n_max is None:
-            raise ScenarioError(f"{top}.oracle: required when 'oracle' is in runs")
+    traj = model.trajectory(sc.times, sc.rho0, picture="schrodinger")
+    model.table_to_csv(os.path.join(out_dir, "dephasing_table.csv"), sc.times)
+    return traj
+
+
+def _run_oracle(sc, out_dir, report):
+    total = TotalSystem(sc.system, sc.generators, _oracle_bath(sc))
+    return evolve_exact(total, sc.rho0, sc.times)
 
 
 def _oracle_bath(sc):
@@ -361,9 +416,15 @@ def _oracle_bath(sc):
     return TruncatedBath(modes, sc.oracle_n_max, sc.bath.temperature)
 
 
-def _dephasing_model(sc):
-    eps0 = 2.0 * float(sc.system.matrix[0, 0].real)
-    return DephasingModel(eps0, sc.bath)
+#: run name -> (prerequisite check, runner), in execution order
+RUNS = {
+    "tcl2": (_no_prerequisite, _run_tcl2),
+    "lindblad": (_check_lindblad, _run_lindblad),
+    "kraus": (_no_prerequisite, _run_kraus),
+    "dephasing": (_check_dephasing, _run_dephasing),
+    "oracle": (_check_oracle, _run_oracle),
+}
+RUN_ORDER = list(RUNS)
 
 
 def run_scenario(sc, out_dir=None, only=None, quiet=False):
@@ -390,34 +451,13 @@ def run_scenario(sc, out_dir=None, only=None, quiet=False):
 
     trajectories = {}
     timings = {}
-    kraus_info = None
     report = {"report_version": 1, "scenario": sc.name, "runs": runs,
               "metrics": {}, "gates": {}, "invariants": {}}
 
     for run in runs:
         t0 = time.perf_counter()
         say(f"[{sc.name}] running {run} ...")
-        if run == "tcl2":
-            gen = Tcl2Generator(sc.system, sc.generators, sc.bath)
-            traj = integrate(gen, sc.rho0, sc.times)
-        elif run == "lindblad":
-            gen = reduce_to_lindblad(Tcl2Generator(sc.system, sc.generators, sc.bath))
-            traj = integrate(gen, sc.rho0, sc.times)
-        elif run == "kraus":
-            traj, kraus_info = _run_kraus(sc, out_dir)
-        elif run == "dephasing":
-            model = _dephasing_model(sc)
-            crossing = model.first_invalid_time(sc.times[-1])
-            if crossing is not None:
-                raise ScenarioError(
-                    f"dephasing validity lost at t ~ {crossing:g} < t_max "
-                    f"{sc.times[-1]:g}; shrink the grid"
-                )
-            traj = model.trajectory(sc.times, sc.rho0, picture="schrodinger")
-            model.table_to_csv(os.path.join(out_dir, "dephasing_table.csv"), sc.times)
-        elif run == "oracle":
-            total = TotalSystem(sc.system, sc.generators, _oracle_bath(sc))
-            traj = evolve_exact(total, sc.rho0, sc.times)
+        traj = RUNS[run][1](sc, out_dir, report)
         timings[run] = round(time.perf_counter() - t0, 6)
 
         traj.to_csv(os.path.join(out_dir, f"{run}.csv"))
@@ -434,9 +474,8 @@ def run_scenario(sc, out_dir=None, only=None, quiet=False):
             td = max(trace_distance(x, y) for x, y in zip(ta.states, tb.states))
             report["metrics"][f"{a}_vs_{b}"] = float(td)
 
-    if kraus_info is not None:
-        report["metrics"]["completeness_dev"] = kraus_info["max_completeness_dev"]
-        report["kraus"] = kraus_info
+    if "kraus" in report:
+        report["metrics"]["completeness_dev"] = report["kraus"]["max_completeness_dev"]
 
     all_traces = [report["invariants"][r]["max_trace_dev"] for r in runs]
     report["metrics"]["trace_dev"] = float(max(all_traces))
@@ -447,7 +486,7 @@ def run_scenario(sc, out_dir=None, only=None, quiet=False):
         )
     )
 
-    if isinstance(sc.bath, MarkovianBath) and {"tcl2", "lindblad"} <= set(runs):
+    if {"tcl2", "lindblad"} <= set(runs):
         report["metrics"]["tcl2_vs_lindblad_generator"] = _generator_distance(sc)
 
     exit_code = 0
@@ -473,35 +512,6 @@ def run_scenario(sc, out_dir=None, only=None, quiet=False):
             f"(value={gate['value']}, tolerance={gate['tolerance']})")
     say(f"[{sc.name}] artifacts in {out_dir}/ ; exit {exit_code}")
     return exit_code, report
-
-
-def _run_kraus(sc, out_dir):
-    """Canonical Kraus sets per grid time plus the induced trajectory."""
-    sets = []
-    states = np.empty((sc.times.size, sc.system.dim, sc.system.dim), dtype=complex)
-    max_b = 0.0
-    max_dev = 0.0
-    clipped = []
-    for i, t in enumerate(sc.times):
-        b = damping_term(t, sc.system, sc.generators, sc.bath)
-        a = jump_term(t, sc.system, sc.generators, sc.bath)
-        ch = assemble_channel(b, a, sc.system)
-        kset = to_schrodinger(canonical_kraus(ch), sc.system)
-        max_b = max(max_b, float(np.abs(b.matrix).max()))
-        max_dev = max(max_dev, kset.completeness_dev)
-        clipped.extend(kset.clipped)
-        states[i] = apply_channel(kset, sc.rho0)
-        sets.append(kset.to_json_dict())
-    with open(os.path.join(out_dir, "kraus.json"), "w", newline="\n") as fh:
-        json.dump(sets, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    info = {
-        "max_completeness_dev": float(max_dev),
-        "max_damping_norm": float(max_b),
-        "cp_clip_budget": float(1e-8 + 10.0 * max_b**2),
-        "clipped_eigenvalues": sorted(float(c) for c in clipped),
-    }
-    return Trajectory(sc.times, states), info
 
 
 def _generator_distance(sc):

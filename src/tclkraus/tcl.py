@@ -3,17 +3,18 @@
 Two generators for the reduced dynamics d rho/dt = -i [H_s, rho] + D(t) rho:
 
 * :class:`Tcl2Generator` -- second-order time-convolutionless dissipator.
-  For a finite-memory bath the action on rho is
+  For every bath model the action on rho is
 
       D(t) rho = sum_a ( [L_a(t) rho, v_a] + [v_a, rho L_a(t)^dag] ),
       L_a(t)   = int_0^t chi_a(u) v_a(-u) du,
 
   where v_a(s) is the interaction-picture generator and chi_a(u) is the
   correlation at positive lag (later bath operator on the left).  This is an
-  exact restructuring of the defining double-commutator form that needs one
-  matrix quadrature per generator per right-hand-side call and is manifestly
-  trace-free and Hermiticity-preserving.  For the white-noise bath the delta collapses
-  the memory integral and D becomes the Lindblad dissipator exactly.
+  exact restructuring of the defining double-commutator form that needs at
+  most one matrix quadrature per generator per right-hand-side call and is
+  manifestly trace-free and Hermiticity-preserving.  For the white-noise bath
+  the delta collapses the memory integral to L_a = (1/2) sum_b conj(gamma_ab)
+  v_b, and the same formula gives the Lindblad dissipator exactly.
 
 * :class:`LindbladGenerator` -- Markovian dissipator
   (1/2) sum_ab gamma_ab ( [v_a rho, v_b] + [v_a, rho v_b] ).
@@ -25,14 +26,15 @@ local tolerance and interpolates onto the requested grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .baths import MarkovianBath
+from .baths import MarkovianBath, baths_per_generator
 from .linalg import (
-    SystemHamiltonian,
     ValidationError,
+    as_hamiltonian,
     check_density_matrix,
     check_generator_set,
     commutator,
@@ -47,8 +49,20 @@ class IntegrationError(RuntimeError):
     """Trajectory integration failed or violated an invariant."""
 
 
-def _as_hamiltonian(h_s):
-    return h_s if isinstance(h_s, SystemHamiltonian) else SystemHamiltonian(h_s)
+def _system_and_generators(h_s, generators):
+    """Coerce H_s and validate the generators against its dimension."""
+    h_s = as_hamiltonian(h_s)
+    generators = check_generator_set(generators)
+    for v in generators:
+        if v.shape[0] != h_s.dim:
+            raise ValidationError(
+                f"generator dimension {v.shape[0]} != system dimension {h_s.dim}"
+            )
+    return h_s, generators
+
+
+def _delta_memory(op, t):
+    return op.copy() if t > 0 else np.zeros_like(op)
 
 
 class Tcl2Generator:
@@ -64,49 +78,34 @@ class Tcl2Generator:
         matrix over generator pairs).
     """
 
-    def __init__(self, h_s, generators, bath, *, quad_rtol=1e-10, quad_atol=1e-13):
-        self.h_s = _as_hamiltonian(h_s)
-        self.generators = check_generator_set(generators)
-        for v in self.generators:
-            if v.shape[0] != self.h_s.dim:
-                raise ValidationError(
-                    f"generator dimension {v.shape[0]} != system dimension {self.h_s.dim}"
-                )
-        self.quad_rtol = quad_rtol
-        self.quad_atol = quad_atol
-
+    def __init__(self, h_s, generators, bath):
+        self.h_s, self.generators = _system_and_generators(h_s, generators)
+        self.bath = bath
+        n = len(self.generators)
         if isinstance(bath, MarkovianBath):
-            self.bath = bath
-            self.baths = None
-            self._rate = bath.rate_matrix(len(self.generators))
+            # chi_ab(u) = (gamma_ab / 2) delta(u) sits at the endpoint u = 0 of
+            # the memory integral and is consumed with full weight there
+            g = bath.rate_matrix(n)
+            self._memory = [
+                partial(_delta_memory,
+                        0.5 * sum(np.conj(g[a, b]) * v
+                                  for b, v in enumerate(self.generators)))
+                for a in range(n)
+            ]
         else:
-            baths = list(bath) if isinstance(bath, (list, tuple)) else [bath] * len(
-                self.generators
-            )
-            if len(baths) != len(self.generators):
-                raise ValidationError(
-                    f"{len(baths)} correlation models for {len(self.generators)} generators"
-                )
-            self.bath = baths[0] if len(set(map(id, baths))) == 1 else baths
-            self.baths = baths
-            self._rate = None
-
-        # generators in the H_s eigenbasis, for cheap interaction-picture phases
-        self._v_eig = [self.h_s.to_eigenbasis(v) for v in self.generators]
+            # generators in the H_s eigenbasis, for cheap interaction-picture phases
+            self._memory = [
+                partial(self._memory_quadrature, b.correlation, self.h_s.to_eigenbasis(v))
+                for b, v in zip(baths_per_generator(bath, n), self.generators)
+            ]
 
     @property
     def dim(self):
         return self.h_s.dim
 
-    @property
-    def is_markovian(self):
-        return self._rate is not None
-
     def with_hamiltonian(self, h_s):
         """Same bath and generators under a new system Hamiltonian."""
-        src = self.bath if self.is_markovian else self.baths
-        return Tcl2Generator(h_s, self.generators, src,
-                             quad_rtol=self.quad_rtol, quad_atol=self.quad_atol)
+        return Tcl2Generator(h_s, self.generators, self.bath)
 
     def memory_operator(self, t, alpha):
         """L_a(t) = int_0^t chi_a(u) v_a(-u) du in the computational basis.
@@ -116,20 +115,19 @@ class Tcl2Generator:
         For the pure-dephasing case only Re chi survives in the dissipator, so
         that case cannot distinguish chi(u) from chi(-u); the exact-reference
         comparison with a non-commuting generator does, and fixes this form.
-        """
-        if self.is_markovian:
-            raise ValidationError(
-                "memory operator is not defined pointwise for the white-noise bath"
-            )
-        chi = self.baths[alpha].correlation
-        v_eig = self._v_eig[alpha]
 
+        For the white-noise bath the delta collapses the integral to its
+        endpoint: L_a = (1/2) sum_b conj(gamma_ab) v_b for t > 0, and 0 at
+        t = 0.
+        """
+        return self._memory[alpha](t)
+
+    def _memory_quadrature(self, chi, v_eig, t):
         def integrand(u):
             return chi(u) * (v_eig * self.h_s.phase_matrix(-u))
 
-        lam = integrate_array(integrand, 0.0, t,
-                              rtol=self.quad_rtol, atol=self.quad_atol)
-        return self.h_s.from_eigenbasis(lam)
+        # default quadrature tolerances: 1e-10 relative, 1e-13 absolute
+        return self.h_s.from_eigenbasis(integrate_array(integrand, 0.0, t))
 
     def dissipator(self, t, rho):
         """D(t) rho.  t = 0 gives the zero matrix (empty memory integral)."""
@@ -137,24 +135,6 @@ class Tcl2Generator:
             raise ValidationError(f"t must be >= 0, got {t}")
         rho = np.asarray(rho, dtype=complex)
         out = np.zeros_like(rho)
-        if t == 0.0:
-            return out
-        if self.is_markovian:
-            # the delta sits at the endpoint of the memory integral and is
-            # consumed with full weight per term, which lands exactly on the
-            # Lindblad dissipator (see decision record); v(0) = v collapses
-            # the interaction-picture factors
-            g = self._rate
-            vs = self.generators
-            for a in range(len(vs)):
-                for b in range(len(vs)):
-                    if g[a, b] == 0:
-                        continue
-                    out += 0.5 * g[a, b] * (
-                        commutator(vs[b] @ rho, vs[a])
-                        + commutator(vs[a], rho @ vs[b])
-                    )
-            return out
         for alpha, v in enumerate(self.generators):
             lam = self.memory_operator(t, alpha)
             out += commutator(lam @ rho, v) + commutator(v, rho @ lam.conj().T)
@@ -169,13 +149,7 @@ class LindbladGenerator:
     """Markovian dissipator with Hermitian PSD rate matrix gamma."""
 
     def __init__(self, h_s, generators, gamma):
-        self.h_s = _as_hamiltonian(h_s)
-        self.generators = check_generator_set(generators)
-        for v in self.generators:
-            if v.shape[0] != self.h_s.dim:
-                raise ValidationError(
-                    f"generator dimension {v.shape[0]} != system dimension {self.h_s.dim}"
-                )
+        self.h_s, self.generators = _system_and_generators(h_s, generators)
         bath = gamma if isinstance(gamma, MarkovianBath) else MarkovianBath(gamma)
         self.gamma = bath.rate_matrix(len(self.generators))
 
@@ -208,11 +182,11 @@ class LindbladGenerator:
 def reduce_to_lindblad(gen):
     """Collapse a white-noise Tcl2Generator to its Lindblad form.
 
-    The two act identically on states (for real symmetric rates this is an
-    operator identity; tested to 1e-12), so this is bookkeeping, not an
-    approximation.
+    The two act identically on states (an operator identity for any
+    Hermitian PSD rate matrix; tested to 1e-12), so this is bookkeeping, not
+    an approximation.
     """
-    if not isinstance(gen, Tcl2Generator) or not gen.is_markovian:
+    if not isinstance(gen, Tcl2Generator) or not isinstance(gen.bath, MarkovianBath):
         raise ValidationError("reduce_to_lindblad needs a white-noise Tcl2Generator")
     return LindbladGenerator(gen.h_s, gen.generators, gen.bath)
 

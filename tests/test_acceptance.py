@@ -36,7 +36,6 @@ from tclkraus import (
     channel_at,
     channel_matrix_from_kraus,
     damping_term,
-    dephasing_apply,
     double_time_integral,
     evolve_exact,
     integrate,
@@ -140,7 +139,7 @@ def test_companion_pipeline_pair_gap_is_f_squared():
         f = double_time_integral(bath, float(t))
         kset = canonical_kraus(channel_at(float(t), h, [SIGMA_Z], bath))
         gap = trace_distance(apply_channel(kset, PLUS),
-                             dephasing_apply(model, float(t), PLUS))
+                             model.apply(float(t), PLUS))
         assert abs(gap - abs(f) ** 2) < 1e-10
 
 

@@ -110,6 +110,20 @@ def test_white_noise_terms_closed_form():
     vec_l = np.diag(lam).reshape(-1)
     assert np.abs(a.tensor - 0.5 * gamma * t * np.outer(vec_l, vec_l)).max() < 1e-12
 
+    # two generators and a complex rate; H_s = 0 freezes v(s) = v
+    rates = np.array([[0.5, 0.2j], [-0.2j, 0.3]])
+    h0 = SystemHamiltonian(np.zeros((2, 2), dtype=complex))
+    vs = [h0.to_eigenbasis(v) for v in (SIGMA_Z, SIGMA_X)]
+    bath = MarkovianBath(rates)
+    b = damping_term(t, h0, [SIGMA_Z, SIGMA_X], bath)
+    a = jump_term(t, h0, [SIGMA_Z, SIGMA_X], bath)
+    b_exp = sum(np.conj(rates[i, j]) * vs[i] @ vs[j]
+                for i in range(2) for j in range(2))
+    a_exp = sum(rates[i, j] * np.outer(vs[i].reshape(-1), vs[j].reshape(-1).conj())
+                for i in range(2) for j in range(2))
+    assert np.abs(b.matrix - 0.25 * t * b_exp).max() < 1e-12
+    assert np.abs(a.tensor - 0.5 * t * a_exp).max() < 1e-12
+
 
 def test_channel_action_matches_midpoint_assembly(rng):
     bath = DiscreteBath([(0.05, 1.3)], 0.0)

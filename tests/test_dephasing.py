@@ -11,9 +11,6 @@ from tclkraus import (
     MarkovianBath,
     OhmicBath,
     apply_channel,
-    dephasing_apply,
-    dephasing_channel_state,
-    dephasing_kraus,
     kraus_pair,
     pair_weight,
 )
@@ -59,8 +56,8 @@ def test_apply_matches_operator_sum(rng):
     model = make_model()
     for t in (0.3, 1.0, 2.5):
         rho = random_density(rng, 2)
-        direct = dephasing_apply(model, t, rho)
-        summed = dephasing_channel_state(model, t, rho)
+        direct = model.apply(t, rho)
+        summed = apply_channel(model.kraus(t), rho)
         assert np.abs(direct - summed).max() < 1e-12
 
 
@@ -76,7 +73,7 @@ def test_populations_and_hermiticity_preserved(rng):
 
 def test_kraus_shapes_and_picture():
     model = make_model()
-    kset = dephasing_kraus(model, 1.2)
+    kset = model.kraus(1.2)
     assert kset.picture == "interaction"
     assert len(kset.operators) == 2
     m = model.memory_integral(1.2)

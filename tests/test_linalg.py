@@ -14,11 +14,8 @@ from tclkraus import (
     check_density_matrix,
     commutator,
     hermitize,
-    hs_inner,
-    interaction_picture,
     matrix_from_json,
     matrix_to_json,
-    matrix_units,
     partial_trace_bath,
     trace_distance,
 )
@@ -59,7 +56,6 @@ def test_interaction_picture_matches_expm(rng):
         u = expm(1j * h * t)
         expected = u @ v @ u.conj().T
         assert np.abs(sh.interaction_picture(v, t) - expected).max() < 1e-11
-        assert np.abs(interaction_picture(v, h, t) - expected).max() < 1e-11
 
 
 def test_sigma_x_rotation_closed_form():
@@ -84,18 +80,6 @@ def test_commutator_and_hs_inner(rng):
     a = random_hermitian(rng, 3)
     b = random_hermitian(rng, 3)
     assert np.abs(commutator(a, b) + commutator(b, a)).max() < 1e-13
-    # <A, B> = Tr(A^dag B)
-    assert abs(hs_inner(a, b) - np.trace(a.conj().T @ b)) < 1e-13
-
-
-def test_matrix_units_basis():
-    units = matrix_units(3)
-    assert units.shape == (9, 3, 3)
-    for idx in range(9):
-        n, m = divmod(idx, 3)
-        expected = np.zeros((3, 3))
-        expected[n, m] = 1.0
-        assert np.abs(units[idx] - expected).max() == 0.0
 
 
 def test_partial_trace_against_loops(rng):

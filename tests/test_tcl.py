@@ -147,6 +147,28 @@ def test_white_noise_matrix_rate_termwise(rng):
     assert np.abs(lind.dissipator(rho) - expected).max() < 1e-14
 
 
+def test_white_noise_complex_rate_matrix_is_kossakowski_form(rng):
+    # a complex Hermitian PSD rate matrix over non-commuting generators: the
+    # dissipator must be Hermitian and equal the Kossakowski double sum
+    for d, n in ((2, 2), (3, 3)):
+        x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        gamma = x @ x.conj().T
+        assert np.abs(gamma.imag).max() > 0.1
+        vs = [random_hermitian(rng, d) for _ in range(n)]
+        gen = Tcl2Generator(random_hermitian(rng, d), vs, MarkovianBath(gamma))
+        rho = random_density(rng, d)
+        got = gen.dissipator(1.0, rho)
+        expected = np.zeros((d, d), dtype=complex)
+        for a in range(n):
+            for b in range(n):
+                va, vb = vs[a], vs[b]
+                expected += gamma[a, b] * (
+                    va @ rho @ vb - 0.5 * (vb @ va @ rho + rho @ vb @ va)
+                )
+        assert np.abs(got - got.conj().T).max() < 1e-12
+        assert np.abs(got - expected).max() < 1e-12
+
+
 def test_lindblad_dephasing_rate(rng):
     # scalar rate gamma with v = sigma_z damps coherences at 2 gamma
     gamma = 0.3
