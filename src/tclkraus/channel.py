@@ -38,15 +38,16 @@ from functools import partial
 
 import numpy as np
 
-from .baths import MarkovianBath, baths_per_generator
+from .baths import DiscreteBath, MarkovianBath, baths_per_generator
 from .linalg import ValidationError, as_hamiltonian, hermitize
 from .quadrature import integrate_array
 
 #: base absolute tolerance for the complete-positivity clip window
 CP_BASE_TOL = 1e-8
 
-#: quadrature tolerances of the outer s-integrals of B and A; the inner
-#: moment runs ten times tighter so its error does not dominate
+#: quadrature tolerances of the outer s-integrals of B and A; an inner
+#: moment done by quadrature runs ten times tighter so its error does not
+#: dominate
 _RTOL = 1e-11
 _ATOL = 1e-12
 
@@ -145,7 +146,10 @@ def _check_time(t):
 def _inner_moments(h_s, v_eigs, bath):
     """Per generator, s -> I_a(s) = int_0^s conj(chi_a(tau - s)) v_a(tau) dtau.
 
-    Eigenbasis in and out.  The white-noise delta, chi_ab(u) = (gamma_ab / 2)
+    Eigenbasis in and out.  With u = s - tau and conj(chi(-u)) = chi(u) this
+    is I_a(s) = v_eig o exp(i Delta s) o Gamma_a(s), Gamma_a the bath's
+    Bohr-frequency kernel: closed form for a discrete bath, one matrix
+    quadrature otherwise.  The white-noise delta, chi_ab(u) = (gamma_ab / 2)
     delta(u), sits on the triangle edge tau = s and counts with half weight
     there: I_a(s) = (1/4) sum_b conj(gamma_ab) v_b(s).
     """
@@ -156,12 +160,21 @@ def _inner_moments(h_s, v_eigs, bath):
                     0.25 * sum(np.conj(g[a, b]) * vb for b, vb in enumerate(v_eigs)))
             for a in range(len(v_eigs))
         ]
-    return [partial(_quadrature_moment, h_s, v_eig, b.correlation)
-            for v_eig, b in zip(v_eigs, baths_per_generator(bath, len(v_eigs)))]
+    moments = []
+    for v_eig, b in zip(v_eigs, baths_per_generator(bath, len(v_eigs))):
+        if isinstance(b, DiscreteBath):
+            moments.append(partial(_kernel_moment, h_s, v_eig, b.bohr_kernel(h_s.gaps)))
+        else:
+            moments.append(partial(_quadrature_moment, h_s, v_eig, b.correlation))
+    return moments
 
 
 def _edge_moment(h_s, w_eig, s):
     return w_eig * h_s.phase_matrix(s)
+
+
+def _kernel_moment(h_s, v_eig, kernel, s):
+    return v_eig * h_s.phase_matrix(s) * kernel(s)
 
 
 def _quadrature_moment(h_s, v_eig, chi, s):

@@ -133,14 +133,14 @@ class SystemHamiltonian:
     matrix : (d, d) complex ndarray
     energies : (d,) real ndarray, ascending
     vectors : (d, d) complex ndarray, columns are the eigenvectors
+    gaps : (d, d) real ndarray, Bohr frequencies e_j - e_k
     """
 
     def __init__(self, matrix):
         self.matrix = check_hermitian(matrix, "H_s")
         self.dim = self.matrix.shape[0]
         self.energies, self.vectors = np.linalg.eigh(self.matrix)
-        # pairwise Bohr frequencies e_j - e_k, used for phase matrices
-        self._gaps = self.energies[:, None] - self.energies[None, :]
+        self.gaps = self.energies[:, None] - self.energies[None, :]
 
     def to_eigenbasis(self, op):
         """W^dag op W."""
@@ -152,7 +152,7 @@ class SystemHamiltonian:
 
     def phase_matrix(self, t):
         """exp(i (e_j - e_k) t), the eigenbasis phase factors at time t."""
-        return np.exp(1j * self._gaps * t)
+        return np.exp(1j * self.gaps * t)
 
     def interaction_picture(self, v, t):
         """Rotate v into the interaction picture: e^{+iHt} v e^{-iHt}."""

@@ -195,6 +195,7 @@ class TotalSystem:
             h += np.kron(v, bath.coupling_field(alpha))
         self.h_total = check_hermitian(h, "H_total")
         self._eig = None
+        self._rotated = None  # (read-only rho_total(0), its eigenbasis form)
 
     def _diagonalize(self):
         if self._eig is None:
@@ -202,9 +203,19 @@ class TotalSystem:
         return self._eig
 
     def total_state(self, rho_total0, t):
-        """Exact rho_total(t) = e^{-iHt} rho_total(0) e^{+iHt}."""
+        """Exact rho_total(t) = e^{-iHt} rho_total(0) e^{+iHt}.
+
+        The eigenbasis form of a read-only rho_total(0) is kept for the next
+        call with the same array, so the snapshots of one evolution (see
+        :func:`evolve_exact`) rotate it once instead of once per time.
+        """
         energies, u = self._diagonalize()
-        r_eig = u.conj().T @ rho_total0 @ u
+        if self._rotated is not None and self._rotated[0] is rho_total0:
+            r_eig = self._rotated[1]
+        else:
+            r_eig = u.conj().T @ rho_total0 @ u
+            if isinstance(rho_total0, np.ndarray) and not rho_total0.flags.writeable:
+                self._rotated = (rho_total0, r_eig)
         ph = np.exp(-1j * energies * t)
         return u @ (np.outer(ph, ph.conj()) * r_eig) @ u.conj().T
 
@@ -218,10 +229,12 @@ def evolve_exact(total, rho_s0, times):
         )
     times = np.asarray(times, dtype=float)
     rho_total0 = np.kron(rho_s0, total.bath.thermal_state())
+    rho_total0.flags.writeable = False  # lets total_state rotate it only once
     d, db = total.h_s.dim, total.bath.dim
     states = np.empty((times.size, d, d), dtype=complex)
     for i, t in enumerate(times):
         states[i] = partial_trace_bath(total.total_state(rho_total0, t), d, db)
+    total._rotated = None  # do not keep two total-space matrices alive
     traj = Trajectory(times, states)
     if traj.trace_dev.max() > 1e-10:
         raise ValidationError(

@@ -10,11 +10,15 @@ Two generators for the reduced dynamics d rho/dt = -i [H_s, rho] + D(t) rho:
 
   where v_a(s) is the interaction-picture generator and chi_a(u) is the
   correlation at positive lag (later bath operator on the left).  This is an
-  exact restructuring of the defining double-commutator form that needs at
-  most one matrix quadrature per generator per right-hand-side call and is
-  manifestly trace-free and Hermiticity-preserving.  For the white-noise bath
-  the delta collapses the memory integral to L_a = (1/2) sum_b conj(gamma_ab)
-  v_b, and the same formula gives the Lindblad dissipator exactly.
+  exact restructuring of the defining double-commutator form and is
+  manifestly trace-free and Hermiticity-preserving.  In the H_s eigenbasis
+  v_a(-u) = v_eig o exp(-i Delta u), so L_a(t) = v_eig o Gamma_a(t) with
+  one scalar kernel Gamma_a(Delta, t) = int_0^t chi_a(u) exp(-i Delta u) du
+  per Bohr frequency Delta.  A discrete bath gives Gamma in closed form;
+  other finite-memory baths take one matrix quadrature per generator per
+  right-hand-side call.  For the white-noise bath the delta collapses the
+  memory integral to L_a = (1/2) sum_b conj(gamma_ab) v_b, and the same
+  formula gives the Lindblad dissipator exactly.
 
 * :class:`LindbladGenerator` -- Markovian dissipator
   (1/2) sum_ab gamma_ab ( [v_a rho, v_b] + [v_a, rho v_b] ).
@@ -31,7 +35,7 @@ from functools import partial
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .baths import MarkovianBath, baths_per_generator
+from .baths import DiscreteBath, MarkovianBath, baths_per_generator
 from .linalg import (
     ValidationError,
     as_hamiltonian,
@@ -65,6 +69,10 @@ def _delta_memory(op, t):
     return op.copy() if t > 0 else np.zeros_like(op)
 
 
+def _kernel_memory(h_s, v_eig, kernel, t):
+    return h_s.from_eigenbasis(v_eig * kernel(t))
+
+
 class Tcl2Generator:
     """Second-order TCL dissipator for a set of Hermitian generators.
 
@@ -93,11 +101,16 @@ class Tcl2Generator:
                 for a in range(n)
             ]
         else:
-            # generators in the H_s eigenbasis, for cheap interaction-picture phases
-            self._memory = [
-                partial(self._memory_quadrature, b.correlation, self.h_s.to_eigenbasis(v))
-                for b, v in zip(baths_per_generator(bath, n), self.generators)
-            ]
+            # generators in the H_s eigenbasis, where v(-u) = v_eig o exp(-i Delta u)
+            self._memory = []
+            for b, v in zip(baths_per_generator(bath, n), self.generators):
+                v_eig = self.h_s.to_eigenbasis(v)
+                if isinstance(b, DiscreteBath):
+                    self._memory.append(partial(_kernel_memory, self.h_s, v_eig,
+                                                b.bohr_kernel(self.h_s.gaps)))
+                else:
+                    self._memory.append(
+                        partial(self._memory_quadrature, b.correlation, v_eig))
 
     @property
     def dim(self):
@@ -115,6 +128,10 @@ class Tcl2Generator:
         For the pure-dephasing case only Re chi survives in the dissipator, so
         that case cannot distinguish chi(u) from chi(-u); the exact-reference
         comparison with a non-commuting generator does, and fixes this form.
+
+        In the H_s eigenbasis this is v_eig o Gamma(t), Gamma the bath's
+        Bohr-frequency kernel: closed form for a discrete bath, one matrix
+        quadrature otherwise.
 
         For the white-noise bath the delta collapses the integral to its
         endpoint: L_a = (1/2) sum_b conj(gamma_ab) v_b for t > 0, and 0 at

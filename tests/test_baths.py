@@ -67,6 +67,33 @@ def test_correlation_symmetry(bath):
         assert abs(bath.correlation(-t) - np.conj(bath.correlation(t))) < 1e-14
 
 
+@pytest.mark.parametrize(
+    "modes, temperature, energies",
+    [
+        # complex couplings, thermal; degenerate d = 3 spectrum whose gaps
+        # +-1.2 hit the first mode in both the emission and absorption terms
+        # and sit 2e-6 from the last one
+        ([(0.2 + 0.1j, 1.2), (0.05j, 0.7), (0.1 - 0.03j, 2.0), (0.08, 1.2 + 2e-6)],
+         0.9, [0.3, 0.3, -0.9]),
+        # zero temperature, one resonance Delta = -omega
+        ([(0.15 - 0.05j, 1.0)], 0.0, [0.5, -0.5]),
+    ],
+)
+@pytest.mark.parametrize("t", [0.0, 1e-9, 0.7, 40.0])
+def test_bohr_kernel_matches_scalar_quadrature(modes, temperature, energies, t):
+    bath = DiscreteBath(modes, temperature)
+    e = np.asarray(energies)
+    freqs = e[:, None] - e[None, :]
+    got = bath.bohr_kernel(freqs)(t)
+    assert got.shape == freqs.shape
+    for idx in np.ndindex(freqs.shape):
+        delta = freqs[idx]
+        ref, _ = quad(lambda u: bath.correlation(u) * np.exp(-1j * delta * u),
+                      0.0, t, complex_func=True, limit=2000,
+                      epsabs=1e-13, epsrel=1e-13)
+        assert abs(got[idx] - ref) < 1e-12, (idx, delta, got[idx], ref)
+
+
 def test_ohmic_zero_temperature_closed_form_vs_quadrature():
     bath = OhmicBath(0.8, 1.7, 0.0)
     for t in (0.0, 0.1, 0.9, 3.0):

@@ -1,9 +1,12 @@
 """Second-order channel assembly and canonical operator extraction."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
-from conftest import random_density
+import tclkraus.channel as channel
+from conftest import random_density, random_hermitian
 from tclkraus import (
     CPViolationError,
     ChannelMatrix,
@@ -24,6 +27,7 @@ from tclkraus import (
     kraus_equivalent,
     to_schrodinger,
 )
+from tclkraus.quadrature import integrate_array
 
 EPS0 = 1.0
 H_QUBIT = SystemHamiltonian(0.5 * EPS0 * SIGMA_Z)
@@ -98,6 +102,42 @@ def test_jump_term_against_midpoint_rule():
     a = jump_term(t, H_QUBIT, [SIGMA_X], bath)
     _, tri = midpoint_terms(H_QUBIT, SIGMA_X, bath.correlation, t)
     assert np.abs(a.tensor - (tri + tri.conj().T)).max() < 1e-7
+
+
+def test_closed_form_terms_match_quadrature_path(rng, monkeypatch):
+    # complex couplings, T > 0, two generators on a random qutrit
+    bath = DiscreteBath([(0.1 + 0.05j, 1.1), (0.07 - 0.02j, 2.3)], 0.8)
+    h_s = SystemHamiltonian(random_hermitian(rng, 3))
+    vs = [random_hermitian(rng, 3), random_hermitian(rng, 3)]
+    t = 2.0
+    b = damping_term(t, h_s, vs, bath).matrix
+    a = jump_term(t, h_s, vs, bath).tensor
+
+    def quadrature_moments(h_s, v_eigs, bath):
+        return [partial(channel._quadrature_moment, h_s, v_eig, bath.correlation)
+                for v_eig in v_eigs]
+
+    monkeypatch.setattr(channel, "_inner_moments", quadrature_moments)
+    b_quad = damping_term(t, h_s, vs, bath).matrix
+    a_quad = jump_term(t, h_s, vs, bath).tensor
+    # the outer quadrature's own tolerance, 1e-11 relative / 1e-12 absolute
+    assert np.abs(b - b_quad).max() <= max(1e-11 * np.abs(b_quad).max(), 1e-12)
+    assert np.abs(a - a_quad).max() <= max(1e-11 * np.abs(a_quad).max(), 1e-12)
+
+
+def test_channel_at_takes_one_outer_quadrature_per_term_and_generator(monkeypatch):
+    calls = []
+
+    def counting(f, a, b, **kwargs):
+        calls.append((a, b))
+        return integrate_array(f, a, b, **kwargs)
+
+    monkeypatch.setattr(channel, "integrate_array", counting)
+    bath = DiscreteBath([(0.05, 1.1), (0.03, 2.3)], 0.5)
+    vs = [SIGMA_X, SIGMA_Z]
+    channel_at(2.0, H_QUBIT, vs, bath)
+    # B and A each take one s-integral per generator, and no inner ones
+    assert len(calls) == 2 * len(vs)
 
 
 def test_white_noise_terms_closed_form():

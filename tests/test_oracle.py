@@ -17,6 +17,7 @@ from tclkraus import (
     double_time_integral,
     evolve_exact,
 )
+from tclkraus.linalg import partial_trace_bath
 
 EPS0 = 1.0
 H_QUBIT = SystemHamiltonian(0.5 * EPS0 * SIGMA_Z)
@@ -83,6 +84,25 @@ def test_total_purity_preserved():
     # T = 0 thermal state is pure, so the total state stays pure
     assert abs(np.trace(out @ out).real - np.trace(rho_total0 @ rho_total0).real) < 1e-10
     assert abs(np.trace(out) - 1.0) < 1e-12
+
+
+def test_evolve_exact_snapshots_equal_fresh_total_states(rng):
+    # evolve_exact rotates rho_total(0) once; each snapshot must still equal,
+    # bit for bit, a total_state call that rotates a writeable copy afresh
+    bath = TruncatedBath([(1.0, [0.08]), (1.7, [0.05])], 3, 0.15)
+    total = TotalSystem(H_QUBIT, [SIGMA_X], bath)
+    rho0 = random_density(rng, 2)
+    times = np.linspace(0.0, 3.0, 5)
+    traj = evolve_exact(total, rho0, times)
+    rho_total0 = np.kron(rho0, bath.thermal_state())
+    for i, t in enumerate(times):
+        fresh = partial_trace_bath(total.total_state(rho_total0, t), 2, bath.dim)
+        assert np.array_equal(traj.states[i], fresh)
+    # a writeable initial state is never reused: changing it changes the result
+    before = total.total_state(rho_total0, 1.0)
+    rho_total0[:] = np.kron(PLUS, bath.thermal_state())
+    after = total.total_state(rho_total0, 1.0)
+    assert np.abs(after - before).max() > 1e-3
 
 
 def test_correlation_exact_vacuum_value():

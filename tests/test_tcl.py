@@ -9,6 +9,7 @@ from tclkraus import (
     DephasingModel,
     LindbladGenerator,
     MarkovianBath,
+    OhmicBath,
     SIGMA_X,
     SIGMA_Z,
     SystemHamiltonian,
@@ -19,6 +20,7 @@ from tclkraus import (
     integrate,
     reduce_to_lindblad,
 )
+import tclkraus.tcl as tcl
 from tclkraus.quadrature import integrate_scalar
 
 EPS0 = 1.0
@@ -113,6 +115,59 @@ def test_memory_operator_matches_direct_quadrature():
         for j in range(2):
             expected[i, j] = element(i, j)
     assert np.abs(lam - expected).max() < 1e-9
+
+
+def test_memory_operator_closed_form_matches_quadrature_path(rng):
+    # complex couplings, T > 0, two generators on a random qutrit
+    bath = DiscreteBath([(0.1 + 0.05j, 1.1), (0.07 - 0.02j, 2.3)], 0.8)
+    gen = Tcl2Generator(random_hermitian(rng, 3),
+                        [random_hermitian(rng, 3), random_hermitian(rng, 3)], bath)
+    for alpha, v in enumerate(gen.generators):
+        v_eig = gen.h_s.to_eigenbasis(v)
+        for t in (0.0, 1e-9, 0.7, 5.0, 40.0):
+            ref = gen._memory_quadrature(bath.correlation, v_eig, t)
+            # the quadrature's own max-norm tolerance: 1e-10 relative, 1e-13 absolute
+            bound = max(1e-10 * np.abs(ref).max(), 1e-13)
+            assert np.abs(gen.memory_operator(t, alpha) - ref).max() <= bound
+
+
+@pytest.mark.parametrize("generator, temperature",
+                         [(SIGMA_Z, 0.0), (SIGMA_Z, 0.4), (SIGMA_X, 0.4)])
+def test_memory_operator_long_time_single_mode_closed_form(generator, temperature):
+    # at t = 5000 the quadrature path raised QuadratureError for sigma_z
+    g, omega, t = 0.05, 1.0, 5000.0
+    gen = Tcl2Generator(H_QUBIT, [generator], DiscreteBath([(g, omega)], temperature))
+    lam = gen.memory_operator(t, 0)
+    assert np.all(np.isfinite(lam))
+
+    def e(a):
+        return t if a == 0.0 else (1.0 - np.exp(-1j * a * t)) / (1j * a)
+
+    def kernel(delta):
+        nbar = 0.0 if temperature == 0.0 else 1.0 / np.expm1(omega / temperature)
+        return g**2 * ((nbar + 1.0) * e(delta + omega) + nbar * e(delta - omega))
+
+    # H = (EPS0/2) sigma_z: sigma_z(-u) = sigma_z, while sigma_x(-u) has
+    # e^{-i EPS0 u} at (0,1) and e^{+i EPS0 u} at (1,0); omega = EPS0 makes
+    # the (1,0) entry resonant, E(0, t) = t
+    if generator is SIGMA_Z:
+        expected = np.diag([kernel(0.0), -kernel(0.0)])
+    else:
+        expected = np.array([[0.0, kernel(EPS0)], [kernel(-EPS0), 0.0]])
+    assert np.abs(lam - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_discrete_bath_trajectory_runs_without_array_quadrature(monkeypatch):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("array quadrature on a discrete-bath TCL2 path")
+
+    monkeypatch.setattr(tcl, "integrate_array", no_quadrature)
+    with pytest.raises(AssertionError):  # the patch reaches the quadrature path
+        Tcl2Generator(H_QUBIT, [SIGMA_X], OhmicBath(0.05, 2.0)).memory_operator(1.0, 0)
+    bath = DiscreteBath([(0.05, 1.0), (0.05, 1.7)], 0.3)
+    traj = integrate(Tcl2Generator(H_QUBIT, [SIGMA_X], bath), PLUS,
+                     np.linspace(0.0, 3.0, 7))
+    assert traj.trace_dev.max() < 1e-10
 
 
 def test_white_noise_dissipator_equals_lindblad(rng):
