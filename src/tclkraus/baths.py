@@ -8,7 +8,7 @@ Three models of the two-point bath correlation chi(t) = <b(t) b(0)>_thermal:
   evaluated by adaptive quadrature (closed form at T = 0).
 * :class:`MarkovianBath` -- white noise, chi(t) = (gamma/2) delta(t).  The
   delta never gets pointwise values; downstream code consumes the rate
-  matrix directly.
+  matrix directly, under the endpoint convention of :mod:`tclkraus.tcl`.
 
 All finite-memory models satisfy chi(t) = conj(chi(-t)).
 """
@@ -243,14 +243,15 @@ def double_time_integral(bath, t):
 
     Evaluated through the single-integral reduction
     f(t) = int_0^t (t - u) conj(chi(-u)) du.  For the white-noise model the
-    delta sits on the boundary of the inner range and is counted with half
-    weight, giving f(t) = gamma t / 4.
+    delta sits at the endpoint of the inner integral and counts with full
+    weight there (the convention of :mod:`tclkraus.tcl`), giving
+    f(t) = gamma t / 2.
     """
     if t < 0:
         raise ValidationError(f"t must be >= 0, got {t}")
     if bath.is_delta:
         g = bath.gamma if bath.is_scalar else np.asarray(bath.gamma)
-        return 0.25 * g * t
+        return 0.5 * g * t
     if t == 0.0:
         return 0.0 + 0.0j
     return integrate_scalar(

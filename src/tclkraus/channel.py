@@ -15,6 +15,11 @@ with the two double-time moments of the coupling
     T[(a,n),(b,m)] = sum_g int_0^t ds int_0^s dtau chi(tau-s)
                     <a| v(s) |n> conj(<b| v(tau) |m>)          (triangle)
 
+The inner tau-integral of both is the TCL2 memory operator of
+:mod:`tclkraus.tcl` in the interaction picture, under that module's
+white-noise convention; for white noise B = (t/2) sum_ab conj(gamma_ab)
+v_a v_b and A = t sum_ab gamma_ab vec v_a vec v_b^dag at H_s = 0.
+
 A is the full-square two-sided moment written as triangle + Hermitian
 transpose; this makes E exactly Hermitian under the (a,n)/(b,m) pairing and
 exactly trace-preserving (sum_a E[(a,n),(a,m)] = delta_nm), which the tests
@@ -38,16 +43,14 @@ from functools import partial
 
 import numpy as np
 
-from .baths import DiscreteBath, MarkovianBath, baths_per_generator
 from .linalg import ValidationError, as_hamiltonian, hermitize
 from .quadrature import integrate_array
+from .tcl import Tcl2Generator
 
 #: base absolute tolerance for the complete-positivity clip window
 CP_BASE_TOL = 1e-8
 
-#: quadrature tolerances of the outer s-integrals of B and A; an inner
-#: moment done by quadrature runs ten times tighter so its error does not
-#: dominate
+#: quadrature tolerances of the outer s-integrals of B and A
 _RTOL = 1e-11
 _ATOL = 1e-12
 
@@ -143,46 +146,20 @@ def _check_time(t):
     return float(t)
 
 
-def _inner_moments(h_s, v_eigs, bath):
+def _inner_moments(h_s, generators, bath):
     """Per generator, s -> I_a(s) = int_0^s conj(chi_a(tau - s)) v_a(tau) dtau.
 
-    Eigenbasis in and out.  With u = s - tau and conj(chi(-u)) = chi(u) this
-    is I_a(s) = v_eig o exp(i Delta s) o Gamma_a(s), Gamma_a the bath's
-    Bohr-frequency kernel: closed form for a discrete bath, one matrix
-    quadrature otherwise.  The white-noise delta, chi_ab(u) = (gamma_ab / 2)
-    delta(u), sits on the triangle edge tau = s and counts with half weight
-    there: I_a(s) = (1/4) sum_b conj(gamma_ab) v_b(s).
+    Eigenbasis out.  With u = s - tau and conj(chi(-u)) = chi(u) this is the
+    TCL2 memory operator in the interaction picture,
+    I_a(s) = exp(i H_s s) L_a(s) exp(-i H_s s), taken from the one
+    :class:`~tclkraus.tcl.Tcl2Generator` that holds every bath's memory.
     """
-    if isinstance(bath, MarkovianBath):
-        g = bath.rate_matrix(len(v_eigs))
-        return [
-            partial(_edge_moment, h_s,
-                    0.25 * sum(np.conj(g[a, b]) * vb for b, vb in enumerate(v_eigs)))
-            for a in range(len(v_eigs))
-        ]
-    moments = []
-    for v_eig, b in zip(v_eigs, baths_per_generator(bath, len(v_eigs))):
-        if isinstance(b, DiscreteBath):
-            moments.append(partial(_kernel_moment, h_s, v_eig, b.bohr_kernel(h_s.gaps)))
-        else:
-            moments.append(partial(_quadrature_moment, h_s, v_eig, b.correlation))
-    return moments
+    gen = Tcl2Generator(h_s, generators, bath)
+    return [partial(_memory_moment, gen, a) for a in range(len(gen.generators))]
 
 
-def _edge_moment(h_s, w_eig, s):
-    return w_eig * h_s.phase_matrix(s)
-
-
-def _kernel_moment(h_s, v_eig, kernel, s):
-    return v_eig * h_s.phase_matrix(s) * kernel(s)
-
-
-def _quadrature_moment(h_s, v_eig, chi, s):
-    def integrand(tau):
-        return np.conj(chi(tau - s)) * (v_eig * h_s.phase_matrix(tau))
-
-    return integrate_array(integrand, 0.0, s,
-                           rtol=_RTOL * 0.1, atol=_ATOL * 0.1)
+def _memory_moment(gen, alpha, s):
+    return gen.h_s.to_eigenbasis(gen.memory_operator(s, alpha)) * gen.h_s.phase_matrix(s)
 
 
 def damping_term(t, h_s, generators, bath):
@@ -191,7 +168,7 @@ def damping_term(t, h_s, generators, bath):
     h_s = as_hamiltonian(h_s)
     total = np.zeros((h_s.dim, h_s.dim), complex)
     v_eigs = [h_s.to_eigenbasis(v) for v in generators]
-    for v_eig, inner in zip(v_eigs, _inner_moments(h_s, v_eigs, bath)):
+    for v_eig, inner in zip(v_eigs, _inner_moments(h_s, generators, bath)):
 
         def integrand(s):
             return (v_eig * h_s.phase_matrix(s)) @ inner(s)
@@ -210,7 +187,7 @@ def jump_term(t, h_s, generators, bath):
     d = h_s.dim
     tri = np.zeros((d * d, d * d), complex)
     v_eigs = [h_s.to_eigenbasis(v) for v in generators]
-    for v_eig, inner in zip(v_eigs, _inner_moments(h_s, v_eigs, bath)):
+    for v_eig, inner in zip(v_eigs, _inner_moments(h_s, generators, bath)):
 
         def integrand(s):
             # conj(inner) carries chi(tau-s) * conj(<b|v(tau)|m>) exactly
@@ -261,7 +238,7 @@ def _fix_phase(k):
     return k * (abs(z) / z)
 
 
-def canonical_kraus(channel, *, normalize=False):
+def canonical_kraus(channel):
     """Extract the canonical Kraus set from a channel matrix.
 
     Eigen-decomposes the Hermitized matrix, keeps positive eigenvalues in
@@ -296,13 +273,6 @@ def canonical_kraus(channel, *, normalize=False):
 
     kset = KrausSet(operators=ops, eigenvalues=eigs, picture=channel.picture,
                     t=channel.t, clipped=clipped)
-    if normalize:
-        s = sum((k.conj().T @ k for k in ops), np.zeros((d, d), complex))
-        se, sv = np.linalg.eigh(s)
-        if se.min() <= 0:
-            raise ValidationError("completeness sum is singular; cannot normalize")
-        s_inv_sqrt = sv @ np.diag(1.0 / np.sqrt(se)) @ sv.conj().T
-        kset.operators = [_fix_phase(k @ s_inv_sqrt) for k in ops]
     kset.completeness_dev = kset.completeness()
     return kset
 

@@ -16,6 +16,10 @@ of :mod:`tclkraus.channel` for v = sigma_z, rho -> (1 - 2 Re m) rho
 + 2 Re m sigma_z rho sigma_z, plus the fourth-order term
 |m|^2 (rho - sigma_z rho sigma_z).  The paper's abstract alone does not
 settle which of the two is its operator-sum form.
+
+For a white-noise bath m(t) = gamma t / 2 under the endpoint convention of
+:mod:`tclkraus.tcl`, so the coherence 1 - 2 gamma t + (gamma t)^2 / 2
+matches the Lindblad factor exp(-2 gamma t) through first order.
 """
 
 from __future__ import annotations

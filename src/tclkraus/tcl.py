@@ -16,9 +16,15 @@ Two generators for the reduced dynamics d rho/dt = -i [H_s, rho] + D(t) rho:
   one scalar kernel Gamma_a(Delta, t) = int_0^t chi_a(u) exp(-i Delta u) du
   per Bohr frequency Delta.  A discrete bath gives Gamma in closed form;
   other finite-memory baths take one matrix quadrature per generator per
-  right-hand-side call.  For the white-noise bath the delta collapses the
-  memory integral to L_a = (1/2) sum_b conj(gamma_ab) v_b, and the same
-  formula gives the Lindblad dissipator exactly.
+  right-hand-side call.  The Born-order channel of :mod:`tclkraus.channel`
+  takes its inner moment from this same memory operator.
+
+  White-noise convention: chi_ab(u) = (gamma_ab / 2) delta(u) sits at the
+  endpoint u = 0 of every one-sided memory integral and counts with full
+  weight there, so the memory integral is L_a = (1/2) sum_b conj(gamma_ab)
+  v_b for t > 0 (0 at t = 0).  The same formula then gives the Lindblad
+  dissipator exactly, and the Born-order channel and the iterated integral
+  f(t) = gamma t / 2 follow from it.
 
 * :class:`LindbladGenerator` -- Markovian dissipator
   (1/2) sum_ab gamma_ab ( [v_a rho, v_b] + [v_a, rho v_b] ).
@@ -91,8 +97,7 @@ class Tcl2Generator:
         self.bath = bath
         n = len(self.generators)
         if isinstance(bath, MarkovianBath):
-            # chi_ab(u) = (gamma_ab / 2) delta(u) sits at the endpoint u = 0 of
-            # the memory integral and is consumed with full weight there
+            # the white-noise convention of the module docstring
             g = bath.rate_matrix(n)
             self._memory = [
                 partial(_delta_memory,
@@ -116,10 +121,6 @@ class Tcl2Generator:
     def dim(self):
         return self.h_s.dim
 
-    def with_hamiltonian(self, h_s):
-        """Same bath and generators under a new system Hamiltonian."""
-        return Tcl2Generator(h_s, self.generators, self.bath)
-
     def memory_operator(self, t, alpha):
         """L_a(t) = int_0^t chi_a(u) v_a(-u) du in the computational basis.
 
@@ -131,11 +132,7 @@ class Tcl2Generator:
 
         In the H_s eigenbasis this is v_eig o Gamma(t), Gamma the bath's
         Bohr-frequency kernel: closed form for a discrete bath, one matrix
-        quadrature otherwise.
-
-        For the white-noise bath the delta collapses the integral to its
-        endpoint: L_a = (1/2) sum_b conj(gamma_ab) v_b for t > 0, and 0 at
-        t = 0.
+        quadrature otherwise.  White noise follows the module's convention.
         """
         return self._memory[alpha](t)
 
@@ -173,9 +170,6 @@ class LindbladGenerator:
     @property
     def dim(self):
         return self.h_s.dim
-
-    def with_hamiltonian(self, h_s):
-        return LindbladGenerator(h_s, self.generators, self.gamma)
 
     def dissipator(self, rho):
         """(1/2) sum_ab gamma_ab ( [v_a rho, v_b] + [v_a, rho v_b] )."""
@@ -268,7 +262,7 @@ def _check_grid(times):
     return times
 
 
-def integrate(gen, rho0, times, controls=None):
+def integrate(gen, rho0, times):
     """Integrate d rho/dt = gen.rhs(t, rho) and sample on `times`.
 
     Parameters
@@ -276,9 +270,6 @@ def integrate(gen, rho0, times, controls=None):
     gen : Tcl2Generator or LindbladGenerator
     rho0 : density matrix at t = 0
     times : strictly increasing grid starting at 0
-    controls : optional piecewise-constant Hamiltonian schedule, a list of
-        (t_start, H_matrix) with t_start[0] == 0.  The generator is rebuilt
-        (eigen caches included) at each segment boundary.
 
     Aborts with :class:`IntegrationError` if the trace drifts by more than
     1e-8 at any snapshot.
@@ -289,47 +280,20 @@ def integrate(gen, rho0, times, controls=None):
     if rho0.shape[0] != d:
         raise ValidationError(f"state dimension {rho0.shape[0]} != generator {d}")
 
-    if controls is None:
-        segments = [(0.0, times[-1], gen)]
-    else:
-        starts = [float(s) for s, _ in controls]
-        if starts[0] != 0.0 or any(b <= a for a, b in zip(starts, starts[1:])):
-            raise ValidationError(
-                "controls must start at t=0 with strictly increasing segment times"
-            )
-        segments = []
-        for i, (s, h) in enumerate(controls):
-            end = starts[i + 1] if i + 1 < len(controls) else times[-1]
-            if end > times[-1]:
-                raise ValidationError("control segment extends past the grid")
-            segments.append((s, end, gen.with_hamiltonian(h)))
-
     states = np.empty((times.size, d, d), dtype=complex)
     states[0] = rho0
-    y = rho0.reshape(-1).astype(complex)
+    if times.size > 1:
 
-    for seg_start, seg_end, seg_gen in segments:
-        if seg_end <= seg_start:
-            continue
+        def rhs_flat(t, yv):
+            return gen.rhs(t, yv.reshape(d, d)).reshape(-1)
 
-        def rhs_flat(t, yv, g=seg_gen):
-            return g.rhs(t, yv.reshape(d, d)).reshape(-1)
-
-        mask = (times > seg_start) & (times <= seg_end)
-        t_eval = list(times[mask])
-        if not t_eval or t_eval[-1] != seg_end:
-            t_eval.append(seg_end)  # always land on the boundary for restart
-        sol = solve_ivp(rhs_flat, (seg_start, seg_end), y, method="RK45",
-                        rtol=1e-10, atol=1e-12, t_eval=np.array(t_eval),
-                        dense_output=False)
+        sol = solve_ivp(rhs_flat, (0.0, times[-1]), rho0.reshape(-1).astype(complex),
+                        method="RK45", rtol=1e-10, atol=1e-12, t_eval=times[1:])
         if not sol.success:
             raise IntegrationError(
-                f"integrator failed on [{seg_start}, {seg_end}]: {sol.message}"
+                f"integrator failed on [0, {times[-1]}]: {sol.message}"
             )
-        snaps = sol.y.T.reshape(-1, d, d)
-        if mask.any():
-            states[mask] = snaps[: int(mask.sum())]
-        y = sol.y[:, -1]
+        states[1:] = sol.y.T.reshape(-1, d, d)
 
     traj = Trajectory(times, states)
     worst = int(np.argmax(traj.trace_dev))

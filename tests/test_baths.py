@@ -157,11 +157,11 @@ def test_double_time_integral_thermal_ohmic_vs_grid_sum():
 def test_double_time_integral_markovian_closed_form():
     bath = MarkovianBath(0.4)
     for t in (0.0, 0.5, 2.0):
-        assert abs(double_time_integral(bath, t) - 0.25 * 0.4 * t) < 1e-15
+        assert abs(double_time_integral(bath, t) - 0.5 * 0.4 * t) < 1e-15
 
 
 class _MollifiedWhiteNoise:
-    """Narrow Gaussian carrying the white-noise mass (gamma / 2) delta(t)."""
+    """Narrow symmetric Gaussian of total mass gamma / 2 about t = 0."""
 
     is_delta = False
 
@@ -178,7 +178,8 @@ class _MollifiedWhiteNoise:
 
 
 def test_mollified_white_noise_approaches_quarter_gamma_t():
-    # the half-mass delta counted half at the triangle boundary: f -> gamma t / 4
+    # a symmetric peak keeps half its mass inside the one-sided inner range,
+    # f -> gamma t / 4, which is the white-noise f of MarkovianBath(gamma / 2)
     gamma, t = 0.4, 1.3
     bath = _MollifiedWhiteNoise(gamma, sigma=0.002)
     f = double_time_integral(bath, t)

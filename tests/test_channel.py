@@ -1,7 +1,5 @@
 """Second-order channel assembly and canonical operator extraction."""
 
-from functools import partial
-
 import numpy as np
 import pytest
 
@@ -11,6 +9,7 @@ from tclkraus import (
     CPViolationError,
     ChannelMatrix,
     DiscreteBath,
+    LindbladGenerator,
     MarkovianBath,
     SIGMA_X,
     SIGMA_Z,
@@ -104,7 +103,14 @@ def test_jump_term_against_midpoint_rule():
     assert np.abs(a.tensor - (tri + tri.conj().T)).max() < 1e-7
 
 
-def test_closed_form_terms_match_quadrature_path(rng, monkeypatch):
+class _CorrelationOnly:
+    """A bath that exposes only chi(u), so its memory goes by quadrature."""
+
+    def __init__(self, bath):
+        self.correlation = bath.correlation
+
+
+def test_closed_form_terms_match_quadrature_path(rng):
     # complex couplings, T > 0, two generators on a random qutrit
     bath = DiscreteBath([(0.1 + 0.05j, 1.1), (0.07 - 0.02j, 2.3)], 0.8)
     h_s = SystemHamiltonian(random_hermitian(rng, 3))
@@ -112,14 +118,8 @@ def test_closed_form_terms_match_quadrature_path(rng, monkeypatch):
     t = 2.0
     b = damping_term(t, h_s, vs, bath).matrix
     a = jump_term(t, h_s, vs, bath).tensor
-
-    def quadrature_moments(h_s, v_eigs, bath):
-        return [partial(channel._quadrature_moment, h_s, v_eig, bath.correlation)
-                for v_eig in v_eigs]
-
-    monkeypatch.setattr(channel, "_inner_moments", quadrature_moments)
-    b_quad = damping_term(t, h_s, vs, bath).matrix
-    a_quad = jump_term(t, h_s, vs, bath).tensor
+    b_quad = damping_term(t, h_s, vs, _CorrelationOnly(bath)).matrix
+    a_quad = jump_term(t, h_s, vs, _CorrelationOnly(bath)).tensor
     # the outer quadrature's own tolerance, 1e-11 relative / 1e-12 absolute
     assert np.abs(b - b_quad).max() <= max(1e-11 * np.abs(b_quad).max(), 1e-12)
     assert np.abs(a - a_quad).max() <= max(1e-11 * np.abs(a_quad).max(), 1e-12)
@@ -144,11 +144,11 @@ def test_white_noise_terms_closed_form():
     gamma, t = 0.4, 1.5
     bath = MarkovianBath(gamma)
     b = damping_term(t, H_QUBIT, [SIGMA_Z], bath)
-    assert np.abs(b.matrix - 0.25 * gamma * t * np.eye(2)).max() < 1e-12
+    assert np.abs(b.matrix - 0.5 * gamma * t * np.eye(2)).max() < 1e-12
     a = jump_term(t, H_QUBIT, [SIGMA_Z], bath)
     lam = np.diag(H_QUBIT.to_eigenbasis(SIGMA_Z)).real
     vec_l = np.diag(lam).reshape(-1)
-    assert np.abs(a.tensor - 0.5 * gamma * t * np.outer(vec_l, vec_l)).max() < 1e-12
+    assert np.abs(a.tensor - gamma * t * np.outer(vec_l, vec_l)).max() < 1e-12
 
     # two generators and a complex rate; H_s = 0 freezes v(s) = v
     rates = np.array([[0.5, 0.2j], [-0.2j, 0.3]])
@@ -161,8 +161,23 @@ def test_white_noise_terms_closed_form():
                 for i in range(2) for j in range(2))
     a_exp = sum(rates[i, j] * np.outer(vs[i].reshape(-1), vs[j].reshape(-1).conj())
                 for i in range(2) for j in range(2))
-    assert np.abs(b.matrix - 0.25 * t * b_exp).max() < 1e-12
-    assert np.abs(a.tensor - 0.5 * t * a_exp).max() < 1e-12
+    assert np.abs(b.matrix - 0.5 * t * b_exp).max() < 1e-12
+    assert np.abs(a.tensor - t * a_exp).max() < 1e-12
+
+
+def test_white_noise_channel_is_first_order_lindblad_step(rng):
+    # H_s = 0 makes the Born map exactly rho + t D rho, D the Lindblad
+    # dissipator at the same rates; a half-weight inner moment is off by 2
+    rates = np.array([[0.5, 0.2 + 0.1j], [0.2 - 0.1j, 0.3]])
+    h0 = np.zeros((2, 2), dtype=complex)
+    vs = [SIGMA_Z, SIGMA_X]
+    lindblad = LindbladGenerator(h0, vs, rates)
+    for t in (0.3, 1.7):
+        ch = channel_at(t, h0, vs, MarkovianBath(rates))
+        for _ in range(3):
+            rho = random_density(rng, 2)
+            expected = rho + t * lindblad.dissipator(rho)
+            assert np.abs(ch.apply(rho) - expected).max() < 1e-12
 
 
 def test_channel_action_matches_midpoint_assembly(rng):
@@ -306,13 +321,6 @@ def test_cp_violation_raises():
                         picture=ch.picture, herm_dev=0.0, cp_budget=ch.cp_budget)
     with pytest.raises(CPViolationError):
         canonical_kraus(ch2)
-
-
-def test_normalize_enforces_completeness():
-    bath = DiscreteBath([(0.08, 1.0)], 0.0)
-    ch = channel_at(2.5, H_QUBIT, [SIGMA_Z], bath)
-    ks = canonical_kraus(ch, normalize=True)
-    assert ks.completeness_dev < 1e-14
 
 
 def test_composite_index_pairing(rng):

@@ -90,10 +90,18 @@ def test_memory_integral_uses_bath():
 
 def test_white_noise_model_weight_grows_linearly():
     model = DephasingModel(EPS0, MarkovianBath(0.2))
-    # m = gamma t / 4 -> p = gamma t / 2 - (gamma t / 4)^2
+    # m = gamma t / 2 -> p = gamma t - (gamma t / 2)^2
     t = 0.8
-    m = 0.2 * t / 4.0
+    m = 0.2 * t / 2.0
     assert abs(model.dephasing_probability(t) - (2 * m - m**2)) < 1e-14
+
+
+def test_white_noise_coherence_matches_lindblad():
+    # Lindblad dephasing through sigma_z at rate gamma: coherence exp(-2 gamma t)
+    gamma, t = 0.5, 2e-3
+    model = DephasingModel(EPS0, MarkovianBath(gamma))
+    gt = gamma * t
+    assert abs(model.coherence_factor(t) - np.exp(-2.0 * gt)) < 10.0 * gt**2
 
 
 def test_strong_coupling_goes_invalid():

@@ -276,23 +276,6 @@ def test_zero_coupling_is_unitary():
         assert np.abs(traj.states[i] - u @ PLUS @ u.conj().T).max() < 1e-9
 
 
-def test_piecewise_hamiltonian_controls():
-    # dephasing memory is H-independent for diagonal H, so the phase simply
-    # accumulates int eps(s) ds while the envelope keeps running
-    g = 0.03
-    bath = DiscreteBath([(g, 1.0)], 0.0)
-    gen = Tcl2Generator(H_QUBIT, [SIGMA_Z], bath)
-    h2 = SystemHamiltonian(0.5 * 2.5 * SIGMA_Z)
-    times = np.linspace(0.0, 2.0, 9)
-    traj = integrate(gen, PLUS, times,
-                     controls=[(0.0, H_QUBIT.matrix), (1.0, h2.matrix)])
-    for i, t in enumerate(times):
-        m = double_time_integral(bath, float(t))
-        phase = EPS0 * min(t, 1.0) + 2.5 * max(t - 1.0, 0.0)
-        expected = 0.5 * np.exp(-4.0 * m.real) * np.exp(-1j * phase)
-        assert abs(traj.states[i][0, 1] - expected) < 1e-8
-
-
 def test_integrate_rejects_bad_grids():
     gen, _ = dephasing_generator()
     with pytest.raises(ValidationError):
