@@ -10,8 +10,6 @@ from .baths import (
 from .channel import (
     CPViolationError,
     ChannelMatrix,
-    DampingTerm,
-    JumpTerm,
     KrausSet,
     apply_channel,
     assemble_channel,

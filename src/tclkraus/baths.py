@@ -55,8 +55,6 @@ class DiscreteBath:
     chi(t) = sum_k |g_k|^2 [(nbar_k + 1) exp(-i w_k t) + nbar_k exp(+i w_k t)].
     """
 
-    is_delta = False
-
     def __init__(self, modes, temperature=0.0):
         if len(modes) == 0:
             raise ValidationError("discrete bath needs at least one mode")
@@ -130,8 +128,6 @@ class OhmicBath:
     agree to 1e-8 (asserted in the tests).
     """
 
-    is_delta = False
-
     def __init__(self, eta, omega_c, temperature=0.0):
         if eta < 0:
             raise ValidationError(f"eta must be >= 0, got {eta}")
@@ -177,13 +173,17 @@ class OhmicBath:
 
 
 class MarkovianBath:
-    """White-noise bath, chi_ab(t) = (gamma_ab / 2) delta(t).
+    """White-noise bath with rate gamma_ab over generator pairs.
 
     gamma is a scalar rate (single generator) or a Hermitian positive
-    semidefinite matrix over generator pairs.
+    semidefinite matrix over generator pairs.  The index convention is the
+    one :class:`~tclkraus.tcl.Tcl2Generator` implements: the memory
+    integral of generator a is L_a = (1/2) sum_b conj(gamma_ab) v_b for
+    t > 0, i.e. chi_ab(u) = (conj(gamma_ab) / 2) delta(u) = (gamma_ba / 2)
+    delta(u) with the delta counted fully at the endpoint u = 0.  The TCL2
+    dissipator sum_a ([L_a rho, v_a] + [v_a, rho L_a^dag]) then equals the
+    Lindblad form (1/2) sum_ab gamma_ab ([v_a rho, v_b] + [v_a, rho v_b]).
     """
-
-    is_delta = True
 
     def __init__(self, gamma):
         g = np.asarray(gamma, dtype=complex)
@@ -229,15 +229,6 @@ class MarkovianBath:
         )
 
 
-def baths_per_generator(bath, n_gen):
-    """One correlation model per generator: a shared model is repeated."""
-    if not isinstance(bath, (list, tuple)):
-        return [bath] * n_gen
-    if len(bath) != n_gen:
-        raise ValidationError(f"{len(bath)} correlation models for {n_gen} generators")
-    return list(bath)
-
-
 def double_time_integral(bath, t):
     """Iterated correlation integral f(t) = int_0^t ds int_0^s dtau conj(chi(tau - s)).
 
@@ -249,7 +240,7 @@ def double_time_integral(bath, t):
     """
     if t < 0:
         raise ValidationError(f"t must be >= 0, got {t}")
-    if bath.is_delta:
+    if isinstance(bath, MarkovianBath):
         g = bath.gamma if bath.is_scalar else np.asarray(bath.gamma)
         return 0.5 * g * t
     if t == 0.0:

@@ -39,7 +39,6 @@ settle which of the two is its operator-sum form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -54,30 +53,17 @@ CP_BASE_TOL = 1e-8
 _RTOL = 1e-11
 _ATOL = 1e-12
 
+#: channel-matrix distance within which :func:`kraus_equivalent` sees one channel
+EQUIVALENCE_TOL = 1e-10
+
 
 class CPViolationError(RuntimeError):
     """Channel matrix is not completely positive beyond the Born budget."""
 
 
 @dataclass
-class DampingTerm:
-    """Ordered double-time moment B (d x d) at time t."""
-
-    t: float
-    matrix: np.ndarray
-
-
-@dataclass
-class JumpTerm:
-    """Two-sided double-time moment A (d^2 x d^2, Hermitian pairing) at time t."""
-
-    t: float
-    tensor: np.ndarray
-
-
-@dataclass
 class ChannelMatrix:
-    """Evolution superoperator in composite-index form.
+    """Interaction-picture evolution superoperator in composite-index form.
 
     Row/column indices are (a, n) -> a*d + n in the eigenbasis of `basis`
     (columns = H_s eigenvectors).  `herm_dev` is the pairing-Hermiticity
@@ -89,7 +75,6 @@ class ChannelMatrix:
     dim: int
     matrix: np.ndarray
     basis: np.ndarray
-    picture: str = "interaction"
     herm_dev: float = 0.0
     cp_budget: float = CP_BASE_TOL
 
@@ -115,8 +100,11 @@ class KrausSet:
     eigenvalues: list
     picture: str
     t: float
-    completeness_dev: float = 0.0
     clipped: list = field(default_factory=list)
+    completeness_dev: float = field(init=False)
+
+    def __post_init__(self):
+        self.completeness_dev = self.completeness()
 
     @property
     def dim(self):
@@ -146,80 +134,68 @@ def _check_time(t):
     return float(t)
 
 
-def _inner_moments(h_s, generators, bath):
-    """Per generator, s -> I_a(s) = int_0^s conj(chi_a(tau - s)) v_a(tau) dtau.
+def _moment_integral(t, h_s, generators, bath, pair):
+    """sum_a int_0^t pair(v_a(s), I_a(s)) ds, both factors in the H_s eigenbasis.
 
-    Eigenbasis out.  With u = s - tau and conj(chi(-u)) = chi(u) this is the
-    TCL2 memory operator in the interaction picture,
-    I_a(s) = exp(i H_s s) L_a(s) exp(-i H_s s), taken from the one
+    I_a(s) = int_0^s conj(chi_a(tau - s)) v_a(tau) dtau is, with u = s - tau
+    and conj(chi(-u)) = chi(u), the TCL2 memory operator in the interaction
+    picture, exp(i H_s s) L_a(s) exp(-i H_s s), taken from the one
     :class:`~tclkraus.tcl.Tcl2Generator` that holds every bath's memory.
     """
+    t = _check_time(t)
+    h_s = as_hamiltonian(h_s)
     gen = Tcl2Generator(h_s, generators, bath)
-    return [partial(_memory_moment, gen, a) for a in range(len(gen.generators))]
+    total = 0
+    for alpha, v in enumerate(generators):
+        v_eig = h_s.to_eigenbasis(v)
+
+        def integrand(s):
+            phase = h_s.phase_matrix(s)
+            return pair(v_eig * phase,
+                        h_s.to_eigenbasis(gen.memory_operator(s, alpha)) * phase)
+
+        total += integrate_array(integrand, 0.0, t, rtol=_RTOL, atol=_ATOL)
+    return total
 
 
-def _memory_moment(gen, alpha, s):
-    return gen.h_s.to_eigenbasis(gen.memory_operator(s, alpha)) * gen.h_s.phase_matrix(s)
+def _vec_outer(v, inner):
+    # conj(inner) carries chi(tau-s) * conj(<b|v(tau)|m>) exactly
+    return np.outer(v.reshape(-1), inner.reshape(-1).conj())
 
 
 def damping_term(t, h_s, generators, bath):
-    """B(t) = sum_a int_0^t v_a(s) I_a(s) ds in the H_s eigenbasis; B(0) = 0."""
-    t = _check_time(t)
-    h_s = as_hamiltonian(h_s)
-    total = np.zeros((h_s.dim, h_s.dim), complex)
-    v_eigs = [h_s.to_eigenbasis(v) for v in generators]
-    for v_eig, inner in zip(v_eigs, _inner_moments(h_s, generators, bath)):
-
-        def integrand(s):
-            return (v_eig * h_s.phase_matrix(s)) @ inner(s)
-
-        total += integrate_array(integrand, 0.0, t, rtol=_RTOL, atol=_ATOL)
-    return DampingTerm(t, total)
+    """B(t) = sum_a int_0^t v_a(s) I_a(s) ds (d x d, H_s eigenbasis); B(0) = 0."""
+    return _moment_integral(t, h_s, generators, bath, np.matmul)
 
 
 def jump_term(t, h_s, generators, bath):
-    """A(t) = T + T^dag in the H_s eigenbasis; A(0) = 0.
+    """A(t) = T + T^dag (d^2 x d^2, H_s eigenbasis); A(0) = 0.
 
     T = sum_a int_0^t vec v_a(s) vec I_a(s)^dag ds.
     """
+    tri = _moment_integral(t, h_s, generators, bath, _vec_outer)
+    return tri + tri.conj().T
+
+
+def assemble_channel(t, b, a, h_s):
+    """E = 1 - B - B* + A over composite indices from B(t) and A(t)."""
     t = _check_time(t)
     h_s = as_hamiltonian(h_s)
     d = h_s.dim
-    tri = np.zeros((d * d, d * d), complex)
-    v_eigs = [h_s.to_eigenbasis(v) for v in generators]
-    for v_eig, inner in zip(v_eigs, _inner_moments(h_s, generators, bath)):
-
-        def integrand(s):
-            # conj(inner) carries chi(tau-s) * conj(<b|v(tau)|m>) exactly
-            vec_v = (v_eig * h_s.phase_matrix(s)).reshape(-1)
-            return np.outer(vec_v, inner(s).reshape(-1).conj())
-
-        tri += integrate_array(integrand, 0.0, t, rtol=_RTOL, atol=_ATOL)
-    return JumpTerm(t, tri + tri.conj().T)
-
-
-def assemble_channel(b_term, a_term, h_s):
-    """E = 1 - B - B* + A over composite indices, interaction picture."""
-    h_s = as_hamiltonian(h_s)
-    d = h_s.dim
-    if b_term.t != a_term.t:
-        raise ValidationError(
-            f"damping term at t={b_term.t} but jump term at t={a_term.t}"
-        )
-    if b_term.matrix.shape != (d, d) or a_term.tensor.shape != (d * d, d * d):
+    if b.shape != (d, d) or a.shape != (d * d, d * d):
         raise ValidationError("term dimensions do not match the Hamiltonian")
     vec_i = np.eye(d, dtype=complex).reshape(-1)
-    vec_b = b_term.matrix.reshape(-1)
+    vec_b = b.reshape(-1)
     m = (
         np.outer(vec_i, vec_i)
         - np.outer(vec_b, vec_i)
         - np.outer(vec_i, vec_b.conj())
-        + a_term.tensor
+        + a
     )
     _, dev = hermitize(m)
-    budget = CP_BASE_TOL + 10.0 * float(np.abs(b_term.matrix).max()) ** 2
-    return ChannelMatrix(t=b_term.t, dim=d, matrix=m, basis=h_s.vectors.copy(),
-                         picture="interaction", herm_dev=dev, cp_budget=budget)
+    budget = CP_BASE_TOL + 10.0 * float(np.abs(b).max()) ** 2
+    return ChannelMatrix(t=t, dim=d, matrix=m, basis=h_s.vectors.copy(),
+                         herm_dev=dev, cp_budget=budget)
 
 
 def channel_at(t, h_s, generators, bath):
@@ -227,7 +203,7 @@ def channel_at(t, h_s, generators, bath):
     h_s = as_hamiltonian(h_s)
     b = damping_term(t, h_s, generators, bath)
     a = jump_term(t, h_s, generators, bath)
-    return assemble_channel(b, a, h_s)
+    return assemble_channel(t, b, a, h_s)
 
 
 def _fix_phase(k):
@@ -271,24 +247,18 @@ def canonical_kraus(channel):
         ops.append(_fix_phase(w @ kappa @ w.conj().T))
         eigs.append(float(lam))
 
-    kset = KrausSet(operators=ops, eigenvalues=eigs, picture=channel.picture,
+    return KrausSet(operators=ops, eigenvalues=eigs, picture="interaction",
                     t=channel.t, clipped=clipped)
-    kset.completeness_dev = kset.completeness()
-    return kset
 
 
-def to_schrodinger(kset, h_s, t=None):
-    """Left-multiply by the free propagator: K -> e^{-i H_s t} K."""
+def to_schrodinger(kset, h_s):
+    """Left-multiply by the free propagator at the set's time: K -> e^{-i H_s t} K."""
     if kset.picture != "interaction":
         raise ValidationError(f"expected an interaction-picture set, got {kset.picture}")
-    h_s = as_hamiltonian(h_s)
-    t = kset.t if t is None else t
-    u = h_s.propagator(t)
-    out = KrausSet(operators=[u @ k for k in kset.operators],
-                   eigenvalues=list(kset.eigenvalues), picture="schrodinger",
-                   t=t, clipped=list(kset.clipped))
-    out.completeness_dev = out.completeness()
-    return out
+    u = as_hamiltonian(h_s).propagator(kset.t)
+    return KrausSet(operators=[u @ k for k in kset.operators],
+                    eigenvalues=list(kset.eigenvalues), picture="schrodinger",
+                    t=kset.t, clipped=list(kset.clipped))
 
 
 def apply_channel(kset, rho):
@@ -314,8 +284,8 @@ def channel_matrix_from_kraus(kset):
     return out
 
 
-def kraus_equivalent(k1, k2, tol=1e-10):
-    """True iff the two sets induce the same channel within tol.
+def kraus_equivalent(k1, k2):
+    """True iff the two sets induce the same channel within EQUIVALENCE_TOL.
 
     Compares reconstructed channel matrices, so sets of different
     cardinality (remixed / zero-padded) compare equal when they should.
@@ -328,4 +298,4 @@ def kraus_equivalent(k1, k2, tol=1e-10):
         )
     m1 = channel_matrix_from_kraus(k1)
     m2 = channel_matrix_from_kraus(k2)
-    return bool(np.abs(m1 - m2).max() <= tol)
+    return bool(np.abs(m1 - m2).max() <= EQUIVALENCE_TOL)

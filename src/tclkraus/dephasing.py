@@ -39,6 +39,9 @@ from .tcl import Trajectory
 #: roundoff guard for p slightly below 0 at tiny times (not a physics clip)
 _P_ROUNDOFF = 1e-12
 
+#: grid points of the validity scan in :meth:`DephasingModel.first_invalid_time`
+SCAN_POINTS = 512
+
 
 class BornValidityError(ValueError):
     """The dephasing weight left [0, 1]: outside Born validity."""
@@ -72,10 +75,8 @@ def kraus_pair(memory_value, t=0.0):
     p = pair_weight(m)
     k0 = (1.0 - m) * np.eye(2, dtype=complex)
     k1 = np.sqrt(p) * SIGMA_Z
-    kset = KrausSet(operators=[k0, k1], eigenvalues=[],
+    return KrausSet(operators=[k0, k1], eigenvalues=[],
                     picture="interaction", t=float(t))
-    kset.completeness_dev = kset.completeness()
-    return kset
 
 
 class DephasingModel:
@@ -98,17 +99,17 @@ class DephasingModel:
         """1 - 2 p(t), the off-diagonal multiplier (interaction picture)."""
         return 1.0 - 2.0 * self.dephasing_probability(t)
 
-    def first_invalid_time(self, t_max, n=512):
-        """First grid time in (0, t_max] where the weight leaves [0, 1].
+    def first_invalid_time(self, t_max):
+        """First time of a SCAN_POINTS grid on [0, t_max] where the weight leaves [0, 1].
 
         Algebraically p = 1 - |1 - m|^2 can never exceed 1, so invalidity
-        always shows up as p dropping below zero (|1 - m| > 1); the upper
-        guard stays for symmetry.  Returns None when the whole grid is valid.
+        always shows up as p dropping below zero (|1 - m| > 1).  Returns None
+        when the whole grid is valid.
         """
-        for t in np.linspace(0.0, float(t_max), int(n))[1:]:
-            m = self.memory_integral(t)
-            p = 2.0 * m.real - abs(m) ** 2
-            if p > 1.0 or p < -_P_ROUNDOFF:
+        for t in np.linspace(0.0, float(t_max), SCAN_POINTS)[1:]:
+            try:
+                pair_weight(self.memory_integral(t))
+            except BornValidityError:
                 return float(t)
         return None
 
@@ -147,7 +148,7 @@ class DephasingModel:
         rows = []
         for t in np.asarray(times, dtype=float):
             m = self.memory_integral(t)
-            p = self.dephasing_probability(t)
+            p = pair_weight(m, t)
             rows.append([t, m.real, m.imag, p, 1.0 - 2.0 * p])
         return np.array(rows)
 

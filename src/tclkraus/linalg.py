@@ -49,15 +49,15 @@ def hermitize(a):
     return 0.5 * (a + a.conj().T), dev
 
 
-def check_hermitian(a, name="operator", rtol=HERMITICITY_RTOL):
+def check_hermitian(a, name="operator"):
     """Validate hermiticity relative to the matrix scale; return the array."""
     a = _as_square(a, name)
-    scale = max(float(np.abs(a).max()), 1.0)
+    allowed = HERMITICITY_RTOL * max(float(np.abs(a).max()), 1.0)
     dev = hermiticity_deviation(a)
-    if dev > rtol * scale:
+    if dev > allowed:
         raise ValidationError(
             f"{name} is not Hermitian: max|A - A^dag| = {dev:.3e} "
-            f"(allowed {rtol * scale:.3e})"
+            f"(allowed {allowed:.3e})"
         )
     return a
 

@@ -58,8 +58,7 @@ class TruncatedBath:
     Parameters
     ----------
     modes : sequence of (omega, couplings)
-        couplings is one complex g per generator (a bare complex also
-        works for the single-generator case).
+        couplings is one complex g per generator.
     n_max : highest retained Fock level per mode
     temperature : float, >= 0
     """
@@ -77,7 +76,7 @@ class TruncatedBath:
         for omega, gs in modes:
             if omega <= 0:
                 raise ValidationError(f"mode frequency must be > 0, got {omega}")
-            gs = [complex(g) for g in (gs if np.iterable(gs) else [gs])]
+            gs = [complex(g) for g in gs]
             self.modes.append((float(omega), gs))
         self.n_gen = len(self.modes[0][1])
         if any(len(gs) != self.n_gen for _, gs in self.modes):
@@ -157,20 +156,19 @@ class TruncatedBath:
         return out
 
 
-def bath_correlation_exact(bath, t, *, alpha=0, check=False):
-    """Tr_b[ b(t) b rho_b ] by Heisenberg evolution in the truncated space.
+def bath_correlation_exact(bath, t, *, check=False):
+    """Tr_b[ b(t) b rho_b ] of the first generator's field, in the truncated space.
 
     rho_b is diagonal and b Hermitian, so the trace is the O(dim^2) sum
     sum_mn p_m |b_mn|^2 exp(i (E_m - E_n) t).  With check=True the same
     value is recomputed at doubled n_max and a deviation above 1e-9 raises
     TruncationError.
     """
-    b2 = np.abs(bath.coupling_field(alpha)) ** 2
+    b2 = np.abs(bath.coupling_field(0)) ** 2
     phases = np.exp(1j * bath.energies * t)
     val = complex((bath.thermal_populations() * phases) @ (b2 @ phases.conj()))
     if check:
-        ref = bath_correlation_exact(bath.with_n_max(2 * bath.n_max), t,
-                                     alpha=alpha, check=False)
+        ref = bath_correlation_exact(bath.with_n_max(2 * bath.n_max), t)
         if abs(val - ref) > 1e-9:
             raise TruncationError(
                 f"doubling n_max moves chi({t:g}) by {abs(val - ref):.3e} > 1e-9"

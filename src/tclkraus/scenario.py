@@ -362,14 +362,16 @@ def _run_kraus(sc, out_dir, report):
     sets = []
     states = np.empty((sc.times.size, sc.system.dim, sc.system.dim), dtype=complex)
     max_b = 0.0
+    budget = 0.0
     max_dev = 0.0
     clipped = []
     for i, t in enumerate(sc.times):
         b = damping_term(t, sc.system, sc.generators, sc.bath)
         a = jump_term(t, sc.system, sc.generators, sc.bath)
-        ch = assemble_channel(b, a, sc.system)
+        ch = assemble_channel(t, b, a, sc.system)
         kset = to_schrodinger(canonical_kraus(ch), sc.system)
-        max_b = max(max_b, float(np.abs(b.matrix).max()))
+        max_b = max(max_b, float(np.abs(b).max()))
+        budget = max(budget, ch.cp_budget)
         max_dev = max(max_dev, kset.completeness_dev)
         clipped.extend(kset.clipped)
         states[i] = apply_channel(kset, sc.rho0)
@@ -380,7 +382,7 @@ def _run_kraus(sc, out_dir, report):
     report["kraus"] = {
         "max_completeness_dev": float(max_dev),
         "max_damping_norm": float(max_b),
-        "cp_clip_budget": float(1e-8 + 10.0 * max_b**2),
+        "cp_clip_budget": float(budget),
         "clipped_eigenvalues": sorted(float(c) for c in clipped),
     }
     return Trajectory(sc.times, states)

@@ -19,7 +19,7 @@ Two generators for the reduced dynamics d rho/dt = -i [H_s, rho] + D(t) rho:
   right-hand-side call.  The Born-order channel of :mod:`tclkraus.channel`
   takes its inner moment from this same memory operator.
 
-  White-noise convention: chi_ab(u) = (gamma_ab / 2) delta(u) sits at the
+  White-noise convention: chi_ab(u) = conj(gamma_ab) delta(u) / 2 sits at the
   endpoint u = 0 of every one-sided memory integral and counts with full
   weight there, so the memory integral is L_a = (1/2) sum_b conj(gamma_ab)
   v_b for t > 0 (0 at t = 0).  The same formula then gives the Lindblad
@@ -41,7 +41,7 @@ from functools import partial
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .baths import DiscreteBath, MarkovianBath, baths_per_generator
+from .baths import DiscreteBath, MarkovianBath
 from .linalg import (
     ValidationError,
     as_hamiltonian,
@@ -72,10 +72,11 @@ def _system_and_generators(h_s, generators):
 
 
 def _delta_memory(op, t):
-    return op.copy() if t > 0 else np.zeros_like(op)
+    # op is read-only, so every call can hand out the same array
+    return op if t > 0 else np.zeros_like(op)
 
 
-def _kernel_memory(h_s, v_eig, kernel, t):
+def _kernel_memory(h_s, kernel, v_eig, t):
     return h_s.from_eigenbasis(v_eig * kernel(t))
 
 
@@ -86,8 +87,8 @@ class Tcl2Generator:
     ----------
     h_s : SystemHamiltonian or matrix
     generators : sequence of Hermitian matrices v_a
-    bath : a correlation model shared by all generators, a sequence with one
-        model per generator (diagonal coupling), or a
+    bath : a finite-memory correlation model, of which each generator sees
+        its own copy (diagonal coupling), or a
         :class:`~tclkraus.baths.MarkovianBath` (possibly with a full rate
         matrix over generator pairs).
     """
@@ -95,27 +96,23 @@ class Tcl2Generator:
     def __init__(self, h_s, generators, bath):
         self.h_s, self.generators = _system_and_generators(h_s, generators)
         self.bath = bath
-        n = len(self.generators)
+        vs = self.generators
         if isinstance(bath, MarkovianBath):
             # the white-noise convention of the module docstring
-            g = bath.rate_matrix(n)
-            self._memory = [
-                partial(_delta_memory,
-                        0.5 * sum(np.conj(g[a, b]) * v
-                                  for b, v in enumerate(self.generators)))
-                for a in range(n)
-            ]
-        else:
-            # generators in the H_s eigenbasis, where v(-u) = v_eig o exp(-i Delta u)
+            g = bath.rate_matrix(len(vs))
             self._memory = []
-            for b, v in zip(baths_per_generator(bath, n), self.generators):
-                v_eig = self.h_s.to_eigenbasis(v)
-                if isinstance(b, DiscreteBath):
-                    self._memory.append(partial(_kernel_memory, self.h_s, v_eig,
-                                                b.bohr_kernel(self.h_s.gaps)))
-                else:
-                    self._memory.append(
-                        partial(self._memory_quadrature, b.correlation, v_eig))
+            for a in range(len(vs)):
+                op = 0.5 * sum(np.conj(g[a, b]) * v for b, v in enumerate(vs))
+                op.flags.writeable = False
+                self._memory.append(partial(_delta_memory, op))
+        else:
+            if isinstance(bath, DiscreteBath):
+                kernel = bath.bohr_kernel(self.h_s.gaps)
+                memory = partial(_kernel_memory, self.h_s, kernel)
+            else:
+                memory = partial(self._memory_quadrature, bath.correlation)
+            # generators in the H_s eigenbasis, where v(-u) = v_eig o exp(-i Delta u)
+            self._memory = [partial(memory, self.h_s.to_eigenbasis(v)) for v in vs]
 
     @property
     def dim(self):
@@ -160,12 +157,11 @@ class Tcl2Generator:
 
 
 class LindbladGenerator:
-    """Markovian dissipator with Hermitian PSD rate matrix gamma."""
+    """Markovian dissipator with a scalar rate or Hermitian PSD rate matrix gamma."""
 
     def __init__(self, h_s, generators, gamma):
         self.h_s, self.generators = _system_and_generators(h_s, generators)
-        bath = gamma if isinstance(gamma, MarkovianBath) else MarkovianBath(gamma)
-        self.gamma = bath.rate_matrix(len(self.generators))
+        self.gamma = MarkovianBath(gamma).rate_matrix(len(self.generators))
 
     @property
     def dim(self):
@@ -199,7 +195,7 @@ def reduce_to_lindblad(gen):
     """
     if not isinstance(gen, Tcl2Generator) or not isinstance(gen.bath, MarkovianBath):
         raise ValidationError("reduce_to_lindblad needs a white-noise Tcl2Generator")
-    return LindbladGenerator(gen.h_s, gen.generators, gen.bath)
+    return LindbladGenerator(gen.h_s, gen.generators, gen.bath.gamma)
 
 
 @dataclass
@@ -208,8 +204,8 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray  # (n, d, d) complex
-    trace_dev: np.ndarray = field(default=None)
-    min_eig: np.ndarray = field(default=None)
+    trace_dev: np.ndarray = field(init=False)
+    min_eig: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -218,15 +214,13 @@ class Trajectory:
             raise ValidationError(
                 f"{self.states.shape[0]} snapshots for {self.times.shape[0]} grid points"
             )
-        if self.trace_dev is None:
-            self.trace_dev = np.array(
-                [abs(complex(np.trace(s)) - 1.0) for s in self.states]
-            )
-        if self.min_eig is None:
-            self.min_eig = np.array(
-                [float(np.linalg.eigvalsh(0.5 * (s + s.conj().T)).min())
-                 for s in self.states]
-            )
+        self.trace_dev = np.array(
+            [abs(complex(np.trace(s)) - 1.0) for s in self.states]
+        )
+        self.min_eig = np.array(
+            [float(np.linalg.eigvalsh(0.5 * (s + s.conj().T)).min())
+             for s in self.states]
+        )
 
     @property
     def dim(self):

@@ -163,8 +163,6 @@ def test_double_time_integral_markovian_closed_form():
 class _MollifiedWhiteNoise:
     """Narrow symmetric Gaussian of total mass gamma / 2 about t = 0."""
 
-    is_delta = False
-
     def __init__(self, gamma, sigma):
         self.gamma = gamma
         self.sigma = sigma

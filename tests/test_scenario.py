@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from tclkraus import ScenarioError, load_scenario, run_scenario
+from tclkraus import ScenarioError, channel_at, load_scenario, run_scenario
 from tclkraus.scenario import _oracle_bath
 
 
@@ -219,6 +219,29 @@ def test_run_markovian_scenario_passes(tmp_path):
     saved = json.loads((out / "report.json").read_text())
     assert saved["metrics"] == report["metrics"]
     assert set(report["invariants"]) == {"tcl2", "lindblad", "kraus"}
+
+
+def test_kraus_report_takes_cp_budget_from_the_channels(tmp_path):
+    # transverse coupling to two modes: the Born truncation leaves small
+    # negative channel eigenvalues here, which are clipped within the budget
+    data = base_scenario()
+    data["system"] = {"preset": "qubit_sigmaz", "epsilon0": 0.5}
+    data["generators"] = [{"preset": "sigma_x"}]
+    data["bath"] = {"model": "discrete", "T": 0.0,
+                    "modes": [{"g": [0.05, 0.0], "omega": 1.0},
+                              {"g": [0.05, 0.0], "omega": 1.7}]}
+    data["grid"] = {"t_max": 10.0, "n_points": 6}
+    data["runs"] = ["kraus"]
+    sc = load(tmp_path, data)
+    code, report = run_scenario(sc, out_dir=str(tmp_path / "o"), quiet=True)
+    assert code == 0
+    info = report["kraus"]
+    budget = max(channel_at(t, sc.system, sc.generators, sc.bath).cp_budget
+                 for t in sc.times)
+    assert info["cp_clip_budget"] == budget
+    assert info["cp_clip_budget"] == 1e-8 + 10.0 * info["max_damping_norm"] ** 2
+    assert info["clipped_eigenvalues"]
+    assert all(c >= -budget for c in info["clipped_eigenvalues"])
 
 
 def test_gate_failure_sets_exit_code(tmp_path):

@@ -187,7 +187,7 @@ def test_white_noise_matrix_rate_termwise(rng):
     h = random_hermitian(rng, 2)
     vs = [SIGMA_Z, SIGMA_X]
     gen = Tcl2Generator(h, vs, bath)
-    lind = LindbladGenerator(h, vs, bath)
+    lind = LindbladGenerator(h, vs, gamma)
     rho = random_density(rng, 2)
     got = gen.dissipator(1.0, rho)
     # hand-expanded double sum
@@ -222,6 +222,18 @@ def test_white_noise_complex_rate_matrix_is_kossakowski_form(rng):
                 )
         assert np.abs(got - got.conj().T).max() < 1e-12
         assert np.abs(got - expected).max() < 1e-12
+
+
+def test_white_noise_memory_operator_is_built_once():
+    rates = np.array([[0.5, 0.2j], [-0.2j, 0.3]])
+    gen = Tcl2Generator(H_QUBIT, [SIGMA_Z, SIGMA_X], MarkovianBath(rates))
+    first = gen.memory_operator(0.5, 0)
+    # one read-only array per generator, handed out by every call at t > 0
+    assert gen.memory_operator(3.0, 0) is first
+    assert not first.flags.writeable
+    expected = 0.5 * (np.conj(rates[0, 0]) * SIGMA_Z + np.conj(rates[0, 1]) * SIGMA_X)
+    assert np.abs(first - expected).max() < 1e-15
+    assert np.abs(gen.memory_operator(0.0, 0)).max() == 0.0
 
 
 def test_lindblad_dephasing_rate(rng):
