@@ -79,6 +79,13 @@ def kraus_pair(memory_value, t=0.0):
                     picture="interaction", t=float(t))
 
 
+def _scale_coherence(rho, c):
+    out = rho.copy()
+    out[0, 1] *= c
+    out[1, 0] *= c
+    return out
+
+
 class DephasingModel:
     """Level splitting eps0 plus a scalar bath correlation model."""
 
@@ -118,11 +125,7 @@ class DephasingModel:
 
     def apply(self, t, rho0):
         rho0 = check_density_matrix(np.asarray(rho0, dtype=complex), "rho0")
-        c = self.coherence_factor(t)
-        out = rho0.copy()
-        out[0, 1] *= c
-        out[1, 0] *= c
-        return out
+        return _scale_coherence(rho0, self.coherence_factor(t))
 
     def trajectory(self, times, rho0, picture="schrodinger"):
         """Channel action sampled on a grid.
@@ -131,17 +134,21 @@ class DephasingModel:
         conjugated by the free propagator, which multiplies the coherence
         by exp(-i eps0 t).
         """
-        times = np.asarray(times, dtype=float)
+        return self.trajectory_from_table(self.table(times), rho0, picture)
+
+    def trajectory_from_table(self, rows, rho0, picture="schrodinger"):
+        """:meth:`trajectory` on the times and coherences of :meth:`table` rows."""
+        rho0 = check_density_matrix(np.asarray(rho0, dtype=complex), "rho0")
+        if picture not in ("schrodinger", "interaction"):
+            raise ValidationError(f"unknown picture {picture!r}")
         states = []
-        for t in times:
-            s = self.apply(t, rho0)
+        for t, c in rows[:, [0, 4]]:
+            s = _scale_coherence(rho0, c)
             if picture == "schrodinger":
                 u = self.h_s.propagator(t)
                 s = u @ s @ u.conj().T
-            elif picture != "interaction":
-                raise ValidationError(f"unknown picture {picture!r}")
             states.append(s)
-        return Trajectory(times, np.array(states))
+        return Trajectory(rows[:, 0], np.array(states))
 
     def table(self, times):
         """Rows of (t, Re m, Im m, p, 1 - 2p)."""
@@ -152,11 +159,11 @@ class DephasingModel:
             rows.append([t, m.real, m.imag, p, 1.0 - 2.0 * p])
         return np.array(rows)
 
-    def table_to_csv(self, path, times):
-        rows = self.table(times)
-        lines = ["t,re_f,im_f,p,coherence"]
-        for row in rows:
-            lines.append(",".join(f"{x:.17e}" for x in row))
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
 
+def write_table_csv(path, rows):
+    """Write :meth:`DephasingModel.table` rows as CSV."""
+    lines = ["t,re_f,im_f,p,coherence"]
+    for row in rows:
+        lines.append(",".join(f"{x:.17e}" for x in row))
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -5,9 +5,15 @@ Ground truth for everything else: build the full Hamiltonian
     H = H_s (x) I + I (x) sum_k w_k a_k^dag a_k + sum_g v_g (x) b_g,
     b_g = sum_k ( g_{gk} a_k^dag + conj(g_{gk}) a_k ),
 
-diagonalize it once (dense), conjugate the initial product state through
-the exact propagator at each snapshot, and partial-trace the bath.  No
-integrator error enters the physics comparisons.
+diagonalize it once (dense), propagate the initial product state exactly
+to each snapshot, and partial-trace the bath.  No integrator error enters
+the physics comparisons.
+
+Real generators and couplings make H exactly real; it is then stored as a
+real array, so ``eigh`` runs the real-symmetric driver.  The snapshots never
+form a total-space density matrix: rho_s0 (x) rho_B is a sum over the
+populated Fock configurations c of p_c rho_s0 (x) |c><c|, so only the d*r
+propagator columns on those configurations are needed (r = 1 at T = 0).
 
 Also evaluates the bath two-point function Tr_b[ b(t) b rho_b ] directly
 in the truncated Fock space, which cross-validates the closed-form
@@ -26,7 +32,6 @@ from .linalg import (
     check_density_matrix,
     check_generator_set,
     check_hermitian,
-    partial_trace_bath,
 )
 from .tcl import Trajectory
 
@@ -198,9 +203,11 @@ class TotalSystem:
         )
         for alpha, v in enumerate(self.generators):
             h += np.kron(v, bath.coupling_field(alpha))
-        self.h_total = check_hermitian(h, "H_total")
+        check_hermitian(h, "H_total")
+        # real generators and couplings make H_total exactly real; eigh then
+        # takes the real-symmetric driver, several times faster
+        self.h_total = h if h.imag.any() else h.real.copy()
         self._eig = None
-        self._rotated = None  # (read-only rho_total(0), its eigenbasis form)
 
     def _diagonalize(self):
         if self._eig is None:
@@ -208,38 +215,40 @@ class TotalSystem:
         return self._eig
 
     def total_state(self, rho_total0, t):
-        """Exact rho_total(t) = e^{-iHt} rho_total(0) e^{+iHt}.
-
-        The eigenbasis form of a read-only rho_total(0) is kept for the next
-        call with the same array, so the snapshots of one evolution (see
-        :func:`evolve_exact`) rotate it once instead of once per time.
-        """
+        """Exact rho_total(t) = e^{-iHt} rho_total(0) e^{+iHt}, formed densely."""
         energies, u = self._diagonalize()
-        if self._rotated is not None and self._rotated[0] is rho_total0:
-            r_eig = self._rotated[1]
-        else:
-            r_eig = u.conj().T @ rho_total0 @ u
-            if isinstance(rho_total0, np.ndarray) and not rho_total0.flags.writeable:
-                self._rotated = (rho_total0, r_eig)
         ph = np.exp(-1j * energies * t)
+        r_eig = u.conj().T @ rho_total0 @ u
         return u @ (np.outer(ph, ph.conj()) * r_eig) @ u.conj().T
 
 
 def evolve_exact(total, rho_s0, times):
-    """Reduced trajectory of the exact total evolution from rho_s0 (x) thermal."""
+    """Reduced trajectory of the exact total evolution from rho_s0 (x) thermal.
+
+    rho_total(0) = sum_c p_c rho_s0 (x) |c><c| over the populated Fock
+    configurations c.  With F = [sqrt(p_c) |c>] (db x r) only the d*r
+    columns Psi(t) = e^{-iHt} (I (x) F) = U (e^{-iEt} o G), G = U^dag (I (x) F),
+    are propagated, and rho_s(t) = Tr_B[ Psi (rho_s0 (x) I_r) Psi^dag ].
+    Neither rho_total(0) nor rho_total(t) is formed.
+    """
     rho_s0 = check_density_matrix(np.asarray(rho_s0, dtype=complex), "rho_s0")
     if rho_s0.shape[0] != total.h_s.dim:
         raise ValidationError(
             f"state dimension {rho_s0.shape[0]} != system dimension {total.h_s.dim}"
         )
     times = np.asarray(times, dtype=float)
-    rho_total0 = np.kron(rho_s0, total.bath.thermal_state())
-    rho_total0.flags.writeable = False  # lets total_state rotate it only once
     d, db = total.h_s.dim, total.bath.dim
+    energies, u = total._diagonalize()
+    pops = total.bath.thermal_populations()
+    occupied = np.flatnonzero(pops > 0)
+    r = occupied.size
+    rows = (np.arange(d)[:, None] * db + occupied).ravel()
+    g = u[rows].conj().T * np.tile(np.sqrt(pops[occupied]), d)
     states = np.empty((times.size, d, d), dtype=complex)
-    for i, t in enumerate(times):
-        states[i] = partial_trace_bath(total.total_state(rho_total0, t), d, db)
-    total._rotated = None  # do not keep two total-space matrices alive
+    for k, t in enumerate(times):
+        psi = (u @ (np.exp(-1j * energies * t)[:, None] * g)).reshape(d, db, d, r)
+        y = np.einsum("jbic,il->jblc", psi, rho_s0)
+        states[k] = np.tensordot(y, psi.conj(), axes=([1, 2, 3], [1, 2, 3]))
     traj = Trajectory(times, states)
     if traj.trace_dev.max() > 1e-10:
         raise ValidationError(

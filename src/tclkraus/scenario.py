@@ -36,7 +36,7 @@ from .channel import (
     jump_term,
     to_schrodinger,
 )
-from .dephasing import DephasingModel
+from .dephasing import DephasingModel, write_table_csv
 from .linalg import (
     SIGMA_X,
     SIGMA_Y,
@@ -396,9 +396,9 @@ def _run_dephasing(sc, out_dir, report):
             f"dephasing validity lost at t ~ {crossing:g} < t_max "
             f"{sc.times[-1]:g}; shrink the grid"
         )
-    traj = model.trajectory(sc.times, sc.rho0, picture="schrodinger")
-    model.table_to_csv(os.path.join(out_dir, "dephasing_table.csv"), sc.times)
-    return traj
+    rows = model.table(sc.times)
+    write_table_csv(os.path.join(out_dir, "dephasing_table.csv"), rows)
+    return model.trajectory_from_table(rows, sc.rho0, picture="schrodinger")
 
 
 def _run_oracle(sc, out_dir, report):

@@ -14,6 +14,7 @@ from tclkraus import (
     kraus_pair,
     pair_weight,
 )
+from tclkraus.dephasing import write_table_csv
 
 EPS0 = 1.0
 
@@ -139,7 +140,7 @@ def test_table_csv_round_trip(tmp_path):
     model = make_model()
     times = np.linspace(0.0, 2.0, 5)
     path = tmp_path / "table.csv"
-    model.table_to_csv(path, times)
+    write_table_csv(path, model.table(times))
     text = path.read_text().splitlines()
     assert text[0] == "t,re_f,im_f,p,coherence"
     data = np.loadtxt(path, delimiter=",", skiprows=1)

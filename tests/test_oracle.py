@@ -86,23 +86,55 @@ def test_total_purity_preserved():
     assert abs(np.trace(out) - 1.0) < 1e-12
 
 
+H_QUTRIT = SystemHamiltonian(np.diag([0.0, 1.0, 2.3]).astype(complex))
+J_X = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / np.sqrt(2.0)
+J_Z = np.diag([1.0, 0.0, -1.0]).astype(complex)
+
+#: (system, generators, bath): thermal qubit; T = 0 qutrit with two
+#: generators; complex couplings, which keep H_total complex
+EVOLVE_CASES = [
+    (H_QUBIT, [SIGMA_X], TruncatedBath([(1.0, [0.08]), (1.7, [0.05])], 3, 0.15)),
+    (H_QUTRIT, [J_X, J_Z],
+     TruncatedBath([(1.0, [0.08, 0.0]), (1.6, [0.0, 0.06])], 3, 0.0)),
+    (H_QUBIT, [SIGMA_X],
+     TruncatedBath([(1.0, [0.05 + 0.06j]), (1.7, [-0.04j])], 3, 0.0)),
+]
+
+
 def test_evolve_exact_snapshots_equal_fresh_total_states(rng):
-    # evolve_exact rotates rho_total(0) once; each snapshot must still equal,
-    # bit for bit, a total_state call that rotates a writeable copy afresh
-    bath = TruncatedBath([(1.0, [0.08]), (1.7, [0.05])], 3, 0.15)
-    total = TotalSystem(H_QUBIT, [SIGMA_X], bath)
-    rho0 = random_density(rng, 2)
-    times = np.linspace(0.0, 3.0, 5)
-    traj = evolve_exact(total, rho0, times)
-    rho_total0 = np.kron(rho0, bath.thermal_state())
-    for i, t in enumerate(times):
-        fresh = partial_trace_bath(total.total_state(rho_total0, t), 2, bath.dim)
-        assert np.array_equal(traj.states[i], fresh)
-    # a writeable initial state is never reused: changing it changes the result
-    before = total.total_state(rho_total0, 1.0)
-    rho_total0[:] = np.kron(PLUS, bath.thermal_state())
-    after = total.total_state(rho_total0, 1.0)
-    assert np.abs(after - before).max() > 1e-3
+    # evolve_exact propagates only the rho_s0 (x) rho_B factor; each snapshot
+    # must agree with the partial trace of the dense total state, up to the
+    # round-off of the different summation order
+    for h_s, gens, bath in EVOLVE_CASES:
+        total = TotalSystem(h_s, gens, bath)
+        d = h_s.dim
+        rho0 = random_density(rng, d)
+        times = np.linspace(0.0, 3.0, 5)
+        traj = evolve_exact(total, rho0, times)
+        rho_total0 = np.kron(rho0, bath.thermal_state())
+        for i, t in enumerate(times):
+            dense = partial_trace_bath(total.total_state(rho_total0, t), d, bath.dim)
+            assert np.abs(traj.states[i] - dense).max() <= 1e-12
+
+
+def test_evolve_exact_never_forms_the_total_state(monkeypatch, rng):
+    def refuse(*_):
+        raise AssertionError("evolve_exact formed a total-space state")
+
+    monkeypatch.setattr(TotalSystem, "total_state", refuse)
+    for h_s, gens, bath in EVOLVE_CASES:
+        total = TotalSystem(h_s, gens, bath)
+        traj = evolve_exact(total, random_density(rng, h_s.dim), np.linspace(0.0, 2.0, 3))
+        assert traj.trace_dev.max() < 1e-12
+
+
+def test_h_total_real_exactly_when_couplings_are_real():
+    real = TotalSystem(*EVOLVE_CASES[1])
+    cplx = TotalSystem(*EVOLVE_CASES[2])
+    assert real.h_total.dtype == np.float64
+    assert cplx.h_total.dtype == np.complex128
+    ref = np.linalg.eigvalsh(real.h_total.astype(complex))
+    assert np.abs(real._diagonalize()[0] - ref).max() < 1e-12
 
 
 def test_correlation_exact_vacuum_value():

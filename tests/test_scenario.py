@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 
 from tclkraus import ScenarioError, channel_at, load_scenario, run_scenario
+from tclkraus import dephasing
 from tclkraus.scenario import _oracle_bath
+
+SCENARIO_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                            "scenarios")
 
 
 def base_scenario():
@@ -282,6 +286,22 @@ def test_dephasing_validity_guard(tmp_path):
     data["runs"] = ["dephasing"]
     with pytest.raises(ScenarioError, match="validity"):
         run_scenario(load(tmp_path, data), out_dir=str(tmp_path / "o"), quiet=True)
+
+
+def test_dephasing_run_evaluates_f_once_per_grid_time(tmp_path, monkeypatch):
+    # the validity scan takes SCAN_POINTS - 1 values of f; the table and the
+    # trajectory then share one evaluation per grid time
+    calls = []
+    memory_integral = dephasing.double_time_integral
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return memory_integral(*args, **kwargs)
+
+    monkeypatch.setattr(dephasing, "double_time_integral", counted)
+    sc = load_scenario(os.path.join(SCENARIO_DIR, "dephasing_singlemode.json"))
+    run_scenario(sc, out_dir=str(tmp_path), only=["dephasing"], quiet=True)
+    assert len(calls) == dephasing.SCAN_POINTS - 1 + sc.times.size
 
 
 def test_reports_are_deterministic(tmp_path):
